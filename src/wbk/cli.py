@@ -107,19 +107,18 @@ def _tier(s: DualWeakBrace, x) -> str:
     return "-"
 
 
+# series kind -> (line label, name of chain position m)
+_SERIES_CELLS = {
+    "right": ("right", lambda m: "S" + f"({m + 1})".translate(SUP)),
+    "socle": ("socle", lambda m: "Soc" + str(m).translate(SUB)),
+    "annihilator-upper": ("annihilator", lambda m: "Ann" + str(m).translate(SUB)),
+    "gamma-lower": ("gamma", lambda m: "Γ" + str(m).translate(SUB)),
+}
+
+
 def _series_line(rep: series.SeriesReport) -> str:
-    if rep.kind == "right":
-        cells = [f"|S{('(%d)' % (m + 1)).translate(SUP)}|={len(x)}" for m, x in enumerate(rep.chain)]
-        label = "right"
-    elif rep.kind == "socle":
-        cells = [f"|Soc{str(m).translate(SUB)}|={len(x)}" for m, x in enumerate(rep.chain)]
-        label = "socle"
-    elif rep.kind == "annihilator-upper":
-        cells = [f"|Ann{str(m).translate(SUB)}|={len(x)}" for m, x in enumerate(rep.chain)]
-        label = "annihilator"
-    else:
-        cells = [f"|Γ{str(m).translate(SUB)}|={len(x)}" for m, x in enumerate(rep.chain)]
-        label = "gamma"
+    label, cell = _SERIES_CELLS[rep.kind]
+    cells = [f"|{cell(m)}|={len(x)}" for m, x in enumerate(rep.chain)]
     state = f"terminated, index {rep.index}" if rep.terminated else "stalled, no index"
     return f"{label}: " + " → ".join(cells) + f" ({state})"
 
@@ -381,7 +380,6 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=["auto", "exhaustive", "closure"], default="auto")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--limit", type=int)
-        p.add_argument("--seed", type=int, default=0)
     return top
 
 

@@ -12,7 +12,13 @@ from itertools import permutations
 
 from .braces import DualWeakBrace, SkewBrace, validate_dual_weak_brace, validate_skew_brace
 from .errors import InternalInvariantBroken, ValidationError
-from .tables import SemilatticeTable, enumerate_group_homs, validate_semilattice
+from .tables import (
+    SemilatticeTable,
+    _glue,
+    _validate_hom_system,
+    enumerate_group_homs,
+    validate_semilattice,
+)
 
 
 @dataclass(frozen=True)
@@ -51,62 +57,23 @@ def validate_spec(y_raw, braces_raw, homs_raw) -> StrongSemilatticeSpec:
     braces = tuple(
         b if isinstance(b, SkewBrace) else validate_skew_brace(*b) for b in braces_raw
     )
-    if len(braces) != y.size:
-        raise ValidationError("component_count_mismatch", (len(braces), y.size))
-    homs: dict = {}
-    for alpha, beta in y.comparable_pairs():
-        if (alpha, beta) not in homs_raw:
-            raise ValidationError("missing_hom", (alpha, beta))
-        f = tuple(homs_raw[(alpha, beta)])
-        src, dst = braces[alpha], braces[beta]
-        if len(f) != src.order or any(not 0 <= v < dst.order for v in f):
-            raise ValidationError("not_a_hom", ((alpha, beta), None))
-        bad = _check_brace_hom(src, dst, f)
+
+    def check(alpha: int, beta: int, f) -> None:
+        bad = _check_brace_hom(braces[alpha], braces[beta], f)
         if bad is not None:
             raise ValidationError("not_a_hom", ((alpha, beta), bad))
-        homs[(alpha, beta)] = f
-    for key in homs_raw:
-        if key not in homs:
-            raise ValidationError("unexpected_hom", tuple(key))
-    for alpha, beta in y.comparable_pairs():
-        for gamma in range(y.size):
-            if gamma != beta and gamma != alpha and y.ge(beta, gamma):
-                fab, fbg, fag = homs[(alpha, beta)], homs[(beta, gamma)], homs[(alpha, gamma)]
-                for x in range(braces[alpha].order):
-                    if fbg[fab[x]] != fag[x]:
-                        raise ValidationError("composition", (alpha, beta, gamma, x))
+
+    homs = _validate_hom_system(y, [b.order for b in braces], homs_raw, check)
     return StrongSemilatticeSpec(y, braces, homs)
-
-
-def _offsets(spec: StrongSemilatticeSpec) -> list[int]:
-    out, acc = [], 0
-    for b in spec.braces:
-        out.append(acc)
-        acc += b.order
-    return out
 
 
 def compose(spec: StrongSemilatticeSpec) -> DualWeakBrace:
     """Glue the components into one dual weak brace on the disjoint union."""
-    offs = _offsets(spec)
-    n = offs[-1] + spec.braces[-1].order
-    owner = []
-    for alpha, b in enumerate(spec.braces):
-        owner.extend((alpha, i) for i in range(b.order))
-
-    def table(pick):
-        t = [[0] * n for _ in range(n)]
-        for a in range(n):
-            alpha, i = owner[a]
-            for b in range(n):
-                beta, j = owner[b]
-                gamma = spec.y.meet[alpha][beta]
-                gi = spec.hom(alpha, gamma)[i]
-                gj = spec.hom(beta, gamma)[j]
-                t[a][b] = offs[gamma] + pick(spec.braces[gamma])[gi][gj]
-        return t
-
-    s = validate_dual_weak_brace(table(lambda b: b.add.op), table(lambda b: b.mul.op))
+    comps = spec.braces
+    orders = [c.order for c in comps]
+    add = _glue(spec.y, orders, spec.homs, lambda off, g, i, j: off + comps[g].add.op[i][j])
+    mul = _glue(spec.y, orders, spec.homs, lambda off, g, i, j: off + comps[g].mul.op[i][j])
+    s = validate_dual_weak_brace(add, mul)
     if len(s.idempotents) != spec.y.size:
         raise InternalInvariantBroken("composed structure has wrong idempotent count")
     if s.semilattice().meet != spec.y.meet:
@@ -256,7 +223,6 @@ def are_isomorphic(s: DualWeakBrace, t: DualWeakBrace) -> IsomorphismWitness | N
         chosen = search(0, {})
         if chosen is None:
             continue
-        offs_s, offs_t = _offsets(ds), _offsets(dt)
         mem_s, mem_t = s.component_members(), t.component_members()
         g = [0] * s.order
         for alpha in range(k):

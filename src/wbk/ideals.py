@@ -13,14 +13,26 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .braces import DualWeakBrace, validate_dual_weak_brace
-from .errors import InternalInvariantBroken, NotAHom, NotAnIdeal, OrderTooLarge, ValidationError
+from .errors import (
+    InternalInvariantBroken,
+    NotAHom,
+    NotAnIdeal,
+    OrderTooLarge,
+    UsageError,
+    ValidationError,
+)
+from .tables import _close
 
 DEFAULT_MAX_ORDER = 24
 EXHAUSTIVE_BOUND = 16
 
 
 def max_order() -> int:
-    return int(os.environ.get("WBK_MAX_ORDER", DEFAULT_MAX_ORDER))
+    raw = os.environ.get("WBK_MAX_ORDER", str(DEFAULT_MAX_ORDER))
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"WBK_MAX_ORDER must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -150,26 +162,7 @@ def annihilator(s: DualWeakBrace) -> frozenset:
 def generated_full_inverse_subsemigroup(s: DualWeakBrace, seed) -> frozenset:
     """Least superset of seed and E(S) closed under + and additive inverse."""
     _check_members(s.order, seed)
-    members: set[int] = set()
-    work: list[int] = []
-
-    def put(v: int) -> None:
-        if v not in members:
-            members.add(v)
-            work.append(v)
-            nv = s.neg(v)
-            if nv not in members:
-                members.add(nv)
-                work.append(nv)
-
-    for v in sorted(set(seed) | set(s.idempotents)):
-        put(v)
-    while work:
-        a = work.pop()
-        for b in tuple(members):
-            put(s.plus(a, b))
-            put(s.plus(b, a))
-    return frozenset(members)
+    return _close(s.add.op, set(seed) | set(s.idempotents), lambda v: (s.neg(v),))
 
 
 def product_set(s: DualWeakBrace, x, y) -> frozenset:
@@ -339,27 +332,14 @@ def ideal_closure(s: DualWeakBrace, seed) -> frozenset:
     """Least ideal containing seed: close under +, -, lambda, and both
     conjugations simultaneously."""
     _check_members(s.order, seed)
-    members: set[int] = set()
-    work: list[int] = []
 
-    def put(v: int) -> None:
-        if v not in members:
-            members.add(v)
-            work.append(v)
-
-    for v in sorted(set(seed) | set(s.idempotents)):
-        put(v)
-    while work:
-        i = work.pop()
-        put(s.neg(i))
-        for b in tuple(members):
-            put(s.plus(i, b))
-            put(s.plus(b, i))
+    def images(i: int) -> list[int]:
+        out = [s.neg(i)]
         for a in range(s.order):
-            put(s.lam(a, i))
-            put(s.plus(s.plus(s.neg(a), i), a))
-            put(s.times(s.times(s.minv(a), i), a))
-    return frozenset(members)
+            out += (s.lam(a, i), s.plus(s.plus(s.neg(a), i), a), s.times(s.times(s.minv(a), i), a))
+        return out
+
+    return _close(s.add.op, set(seed) | set(s.idempotents), images)
 
 
 @dataclass(frozen=True)

@@ -63,10 +63,20 @@ def dumps(x) -> str:
     return json.dumps(to_obj(x), indent=2) + "\n"
 
 
-def _need(obj: dict, key: str):
+def _need(obj: dict, key: str, kind=None):
     if key not in obj:
         raise ParseError(f"missing field {key!r}")
+    if kind is not None and not isinstance(obj[key], kind):
+        raise ParseError(f"field {key!r} has the wrong type")
     return obj[key]
+
+
+def _table(obj: dict, key: str):
+    """A table field: a list of row lists.  Entries are left to the validators."""
+    rows = _need(obj, key, (list, tuple))
+    if not all(isinstance(row, (list, tuple)) for row in rows):
+        raise ParseError(f"field {key!r} must be a list of rows")
+    return rows
 
 
 def from_obj(obj) -> object:
@@ -74,34 +84,36 @@ def from_obj(obj) -> object:
         raise ParseError("top-level value must be an object")
     kind = _need(obj, "kind")
     if kind == "group":
-        return validate_group(_need(obj, "op"))
+        return validate_group(_table(obj, "op"))
     if kind == "semilattice":
-        return validate_semilattice(_need(obj, "meet"))
+        return validate_semilattice(_table(obj, "meet"))
     if kind == "skew_brace":
-        return validate_skew_brace(_need(obj, "add"), _need(obj, "mul"))
+        return validate_skew_brace(_table(obj, "add"), _table(obj, "mul"))
     if kind == "dual_weak_brace":
-        return validate_dual_weak_brace(_need(obj, "add"), _need(obj, "mul"))
+        return validate_dual_weak_brace(_table(obj, "add"), _table(obj, "mul"))
     if kind == "strong_semilattice":
-        y = validate_semilattice(_need(_need(obj, "semilattice"), "meet"))
-        braces_obj = _need(obj, "braces")
+        y = validate_semilattice(_table(_need(obj, "semilattice", dict), "meet"))
+        braces_obj = _need(obj, "braces", dict)
         braces = []
         for i in range(y.size):
             b = braces_obj.get(str(i))
-            if b is None:
+            if not isinstance(b, dict):
                 raise ParseError(f"missing brace for semilattice element {i}")
-            braces.append((_need(b, "add"), _need(b, "mul")))
+            braces.append((_table(b, "add"), _table(b, "mul")))
         homs = {}
-        for key, f in _need(obj, "homs").items():
+        for key, f in _need(obj, "homs", dict).items():
             try:
                 a, b = key.split(">")
                 pair = (int(a), int(b))
             except ValueError:
                 raise ParseError(f"bad hom key {key!r}") from None
+            if not isinstance(f, (list, tuple)):
+                raise ParseError(f"hom {key!r} must be a list")
             homs[pair] = tuple(f)
         return validate_spec(y, braces, homs)
     if kind == "solution":
         order = _need(obj, "order")
-        table = _need(obj, "map")
+        table = _table(obj, "map")
         if not isinstance(order, int) or len(table) != order:
             raise ParseError("solution table does not match its declared order")
         pairs = []
@@ -110,7 +122,11 @@ def from_obj(obj) -> object:
                 raise ParseError("solution table is not square")
             out = []
             for p in row:
-                if len(p) != 2 or not all(isinstance(v, int) and 0 <= v < order for v in p):
+                if (
+                    not isinstance(p, (list, tuple))
+                    or len(p) != 2
+                    or not all(isinstance(v, int) and 0 <= v < order for v in p)
+                ):
                     raise ParseError("solution entries must be pairs of indices")
                 out.append((p[0], p[1]))
             pairs.append(tuple(out))

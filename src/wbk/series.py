@@ -32,30 +32,19 @@ class SeriesReport:
     index: int | None
 
 
-def _run_descending(kind: str, s: DualWeakBrace, start: frozenset, step) -> SeriesReport:
-    target = frozenset(s.idempotents)
+def _run(kind: str, start: frozenset, target: frozenset, step) -> SeriesReport:
+    """Iterate step from start until it reaches target or repeats; the chain
+    ascends when start is below target and descends otherwise."""
+    ascending = start < target
     chain = [start]
     while chain[-1] != target:
         nxt = step(chain[-1])
         if nxt == chain[-1]:
             break
-        if not nxt <= chain[-1]:
-            raise InternalInvariantBroken(f"{kind} series is not descending")
-        chain.append(nxt)
-    terminated = chain[-1] == target
-    index = chain.index(target) if terminated else None
-    return SeriesReport(kind, tuple(chain), terminated, index)
-
-
-def _run_ascending(kind: str, s: DualWeakBrace, step) -> SeriesReport:
-    target = frozenset(range(s.order))
-    chain = [frozenset(s.idempotents)]
-    while chain[-1] != target:
-        nxt = step(chain[-1])
-        if nxt == chain[-1]:
-            break
-        if not nxt >= chain[-1]:
-            raise InternalInvariantBroken(f"{kind} series is not ascending")
+        if not (chain[-1] <= nxt if ascending else nxt <= chain[-1]):
+            raise InternalInvariantBroken(
+                f"{kind} series is not {'ascending' if ascending else 'descending'}"
+            )
         chain.append(nxt)
     terminated = chain[-1] == target
     index = chain.index(target) if terminated else None
@@ -65,7 +54,7 @@ def _run_ascending(kind: str, s: DualWeakBrace, step) -> SeriesReport:
 def right_series(s: DualWeakBrace) -> SeriesReport:
     """S(1) = S, S(n+1) = S(n).S; chain position m holds S(m+1)."""
     full = frozenset(range(s.order))
-    return _run_descending("right", s, full, lambda prev: product_set(s, prev, full))
+    return _run("right", full, frozenset(s.idempotents), lambda prev: product_set(s, prev, full))
 
 
 def _socle_step(s: DualWeakBrace, prev: frozenset, use_right_dots: bool) -> frozenset:
@@ -96,7 +85,7 @@ def socle_series(s: DualWeakBrace) -> SeriesReport:
             raise InternalInvariantBroken("socle step: elementwise and quotient forms differ")
         return elementwise
 
-    return _run_ascending("socle", s, step)
+    return _run("socle", frozenset(s.idempotents), frozenset(range(s.order)), step)
 
 
 def annihilator_series(s: DualWeakBrace) -> SeriesReport:
@@ -111,7 +100,7 @@ def annihilator_series(s: DualWeakBrace) -> SeriesReport:
             )
         return elementwise
 
-    return _run_ascending("annihilator-upper", s, step)
+    return _run("annihilator-upper", frozenset(s.idempotents), frozenset(range(s.order)), step)
 
 
 def gamma_step(s: DualWeakBrace, prev: frozenset) -> frozenset:
@@ -131,7 +120,7 @@ def gamma_series(s: DualWeakBrace, start=None) -> SeriesReport:
     chk = is_ideal(s, start)
     if not chk:
         raise NotAnIdeal(chk.law, chk.witness)
-    return _run_descending("gamma-lower", s, start, lambda prev: gamma_step(s, prev))
+    return _run("gamma-lower", start, frozenset(s.idempotents), lambda prev: gamma_step(s, prev))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from itertools import product
 
 from .braces import DualWeakBrace
 from .errors import NoPeriod, ValidationError
-from .tables import SemilatticeTable
+from .tables import SemilatticeTable, _glue, _validate_hom_system
 
 
 @dataclass(frozen=True)
@@ -149,51 +149,26 @@ def strong_semilattice_of_solutions(
 ) -> SolutionTable:
     """Glue component solutions along equivariant index-lowering maps.
 
-    maps: (alpha, beta) -> image tuple for alpha > beta.  Verifies map
-    presence, transitive composition, and equivariance before gluing.
+    maps: (alpha, beta) -> image tuple for alpha > beta.  The maps are
+    checked like the connecting homs of a strong semilattice of skew braces:
+    per comparable pair presence, shape, then equivariance; then maps for no
+    comparable pair (unexpected_hom); then transitive composition.
     """
-    if len(solutions) != y.size:
-        raise ValidationError("component_count_mismatch", (len(solutions), y.size))
-    homs = {}
-    for alpha, beta in y.comparable_pairs():
-        if (alpha, beta) not in maps:
-            raise ValidationError("missing_hom", (alpha, beta))
-        f = tuple(maps[(alpha, beta)])
-        if len(f) != solutions[alpha].order or any(
-            not 0 <= v < solutions[beta].order for v in f
-        ):
-            raise ValidationError("not_a_hom", ((alpha, beta), None))
-        homs[(alpha, beta)] = f
-    for alpha, beta in y.comparable_pairs():
-        for gamma in range(y.size):
-            if gamma not in (alpha, beta) and y.ge(beta, gamma):
-                fab, fbg, fag = homs[(alpha, beta)], homs[(beta, gamma)], homs[(alpha, gamma)]
-                for x in range(solutions[alpha].order):
-                    if fbg[fab[x]] != fag[x]:
-                        raise ValidationError("composition", (alpha, beta, gamma, x))
-    for alpha, beta in y.comparable_pairs():
-        f, ra, rb = homs[(alpha, beta)], solutions[alpha], solutions[beta]
+
+    def equivariant(alpha: int, beta: int, f) -> None:
+        ra, rb = solutions[alpha], solutions[beta]
         for x in range(ra.order):
             for z in range(ra.order):
                 u, v = ra.apply(x, z)
                 if rb.apply(f[x], f[z]) != (f[u], f[v]):
                     raise ValidationError("equivariance", (alpha, beta, x, z))
 
-    offs, acc = [], 0
-    for r in solutions:
-        offs.append(acc)
-        acc += r.order
-    owner = []
-    for alpha, r in enumerate(solutions):
-        owner.extend((alpha, i) for i in range(r.order))
+    orders = [r.order for r in solutions]
+    homs = _validate_hom_system(y, orders, maps, equivariant)
 
-    def glue(a, b):
-        alpha, i = owner[a]
-        beta, j = owner[b]
-        gamma = y.meet[alpha][beta]
-        fi = i if gamma == alpha else homs[(alpha, gamma)][i]
-        fj = j if gamma == beta else homs[(beta, gamma)][j]
-        u, v = solutions[gamma].apply(fi, fj)
-        return (offs[gamma] + u, offs[gamma] + v)
+    def cell(off: int, gamma: int, i: int, j: int) -> tuple[int, int]:
+        u, v = solutions[gamma].pairs[i][j]
+        return (off + u, off + v)
 
-    return solution_table(acc, glue)
+    rows = _glue(y, orders, homs, cell)
+    return SolutionTable(len(rows), tuple(tuple(row) for row in rows))

@@ -89,6 +89,64 @@ class SemilatticeTable:
         ]
 
 
+def _validate_hom_system(y: SemilatticeTable, orders, maps, check_pair) -> dict:
+    """Check connecting maps over y and return them frozen, keyed (alpha, beta).
+
+    orders: component orders indexed by y-element.  maps: (alpha, beta) ->
+    image sequence for every alpha > beta.  check_pair(alpha, beta, f) raises
+    when a well-shaped map fails the caller's structure law.  Failures come
+    in this order: component count, then per pair presence, shape and the
+    caller's check, then maps for no comparable pair, then transitivity.
+    """
+    if len(orders) != y.size:
+        raise ValidationError("component_count_mismatch", (len(orders), y.size))
+    homs: dict = {}
+    for alpha, beta in y.comparable_pairs():
+        if (alpha, beta) not in maps:
+            raise ValidationError("missing_hom", (alpha, beta))
+        f = tuple(maps[(alpha, beta)])
+        if len(f) != orders[alpha] or not all(type(v) is int and 0 <= v < orders[beta] for v in f):
+            raise ValidationError("not_a_hom", ((alpha, beta), None))
+        check_pair(alpha, beta, f)
+        homs[(alpha, beta)] = f
+    for key in maps:
+        if key not in homs:
+            raise ValidationError("unexpected_hom", tuple(key))
+    for alpha, beta in y.comparable_pairs():
+        for gamma in range(y.size):
+            if gamma != beta and gamma != alpha and y.ge(beta, gamma):
+                fab, fbg, fag = homs[(alpha, beta)], homs[(beta, gamma)], homs[(alpha, gamma)]
+                for x in range(orders[alpha]):
+                    if fbg[fab[x]] != fag[x]:
+                        raise ValidationError("composition", (alpha, beta, gamma, x))
+    return homs
+
+
+def _glue(y: SemilatticeTable, orders, homs: dict, cell) -> list[list]:
+    """Table of the strong semilattice on the disjoint union of components.
+
+    Global element order is (y-index, local index).  The entry for a in
+    component alpha and b in component beta is cell(off, gamma, i, j), with
+    gamma = alpha meet beta, off its first global index, and i, j the local
+    indices of a and b mapped down into gamma along homs.
+    """
+    offs, owner = [], []
+    for alpha, m in enumerate(orders):
+        offs.append(len(owner))
+        owner.extend((alpha, i) for i in range(m))
+    rows = []
+    for alpha, i in owner:
+        row = []
+        meet = y.meet[alpha]
+        for beta, j in owner:
+            gamma = meet[beta]
+            gi = i if gamma == alpha else homs[(alpha, gamma)][i]
+            gj = j if gamma == beta else homs[(beta, gamma)][j]
+            row.append(cell(offs[gamma], gamma, gi, gj))
+        rows.append(row)
+    return rows
+
+
 @dataclass(frozen=True)
 class CliffordTable:
     """A Clifford semigroup: inverse semigroup with a a' = a' a for all a."""
@@ -178,17 +236,22 @@ def clifford_of_group(g: FiniteGroupTable) -> CliffordTable:
     return CliffordTable(g.order, g.op, g.inv, (g.identity,))
 
 
-def _close(op, seed: set[int]) -> set[int]:
+def _close(op, seed, extra=None) -> frozenset:
+    """Least superset of seed closed under op in both orders and, when given,
+    under extra: each member x also brings in every element extra(x) yields."""
     members = set(seed)
     work = list(members)
     while work:
         x = work.pop()
-        for y in tuple(members):
-            for z in (op[x][y], op[y][x]):
-                if z not in members:
-                    members.add(z)
-                    work.append(z)
-    return members
+        new = [op[x][y] for y in members]
+        new += [op[y][x] for y in members]
+        if extra is not None:
+            new += extra(x)
+        for z in new:
+            if z not in members:
+                members.add(z)
+                work.append(z)
+    return frozenset(members)
 
 
 def generating_set(g: FiniteGroupTable) -> list[int]:

@@ -134,3 +134,23 @@ def test_spec_obj_checks():
     broken["homs"] = {"0-1": [0, 3, 4]}
     with pytest.raises(ParseError):
         wbk.from_obj(broken)
+
+
+def test_from_obj_shape_errors_are_parse_errors():
+    with pytest.raises(ParseError):
+        wbk.from_obj({"kind": "group", "op": 5})
+    with pytest.raises(ParseError):
+        wbk.from_obj({"kind": "skew_brace", "add": [[0]], "mul": "x"})
+    spec_obj = wbk.to_obj(wbk.catalog_get("c3_sym3"))
+    spec_obj["homs"]["0>1"] = 7
+    with pytest.raises(ParseError) as exc:
+        wbk.from_obj(spec_obj)
+    assert "0>1" in str(exc.value)
+    # bad entries inside well-shaped lists still reach the validators
+    with pytest.raises(wbk.ValidationError) as exc:
+        wbk.from_obj({"kind": "group", "op": [[0, 5], [1, 0]]})
+    assert exc.value.law == "not_closed"
+    spec_obj["homs"]["0>1"] = ["a", 3, 4]
+    with pytest.raises(wbk.ValidationError) as exc:
+        wbk.from_obj(spec_obj)
+    assert exc.value.law == "not_a_hom" and exc.value.witness == ((0, 1), None)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wbk import catalog_get, to_obj
 from wbk.cli import main
 
 BRAID_BROKEN = {
@@ -245,3 +246,21 @@ def test_json_format(capsys):
     )
     assert code == 1
     assert json.loads("\n".join(out))["status"] == "fail"
+
+
+def test_bad_max_order_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("WBK_MAX_ORDER", "abc")
+    code, out, err = run(capsys, "ideals", "--catalog", "z6_exotic")
+    assert code == 2 and out == []
+    assert "WBK_MAX_ORDER" in err and "Traceback" not in err
+
+
+def test_malformed_shapes_are_parse_errors(capsys, tmp_path):
+    spec_obj = to_obj(catalog_get("c3_sym3"))
+    spec_obj["homs"]["0>1"] = 7
+    cases = [{"kind": "group", "op": 5}, {"kind": "group", "op": [[0, 1], 1]}, spec_obj]
+    for obj in cases:
+        path = write_json(tmp_path, obj)
+        code, out, err = run(capsys, "validate", "--input", path)
+        assert code == 2 and out == [] and err.startswith("error: "), obj
+

@@ -171,3 +171,42 @@ def test_ideal_decomposition(c2_c4, c3_sym3):
     assert dec.locals_ == (frozenset({0}), frozenset({0, 3, 4}))
     with pytest.raises(NotAnIdeal):
         wbk.ideal_decomposition(c3_sym3, frozenset({0, 3, 4}))
+
+
+def _passing_supersets(s, predicate):
+    """Brute force: every subset holding E(S) that passes predicate."""
+    base = frozenset(s.idempotents)
+    rest = [a for a in range(s.order) if a not in base]
+    subsets = (
+        base | {rest[k] for k in range(len(rest)) if bits >> k & 1}
+        for bits in range(1 << len(rest))
+    )
+    return [x for x in subsets if predicate(s, x)]
+
+
+def _least_passing(passing, seed):
+    holding = [x for x in passing if x >= seed]
+    least = frozenset.intersection(*holding)
+    assert least in holding  # the passing sets are closed under intersection
+    return least
+
+
+def test_ideal_closure_matches_subset_oracle(all_structures):
+    for name, s in all_structures:
+        if s.order > 12:
+            continue
+        ideals = _passing_supersets(s, wbk.is_ideal)
+        for a in range(s.order):
+            assert wbk.ideal_closure(s, {a}) == _least_passing(ideals, {a}), (name, a)
+
+
+def test_generated_full_inverse_subsemigroup_matches_subset_oracle(all_structures):
+    for name, s in all_structures:
+        if s.order > 12:
+            continue
+        subs = _passing_supersets(s, wbk.is_full_inverse_subsemigroup_add)
+        seeds = [set()] + [{a} for a in range(s.order)]
+        seeds += [{a, b} for a in range(s.order) for b in range(a + 1, s.order)]
+        for seed in seeds:
+            got = wbk.generated_full_inverse_subsemigroup(s, seed)
+            assert got == _least_passing(subs, seed), (name, seed)

@@ -104,6 +104,24 @@ def test_gluing_validates_maps():
     with pytest.raises(ValidationError) as exc:
         strong_semilattice_of_solutions(spec.y, sols, {(0, 1): (0, 1, 2)})
     assert exc.value.law == "equivariance"
+    # a map for a pair that is not comparable in y
+    with pytest.raises(ValidationError) as exc:
+        strong_semilattice_of_solutions(
+            spec.y, sols, {(0, 1): spec.homs[(0, 1)], (1, 0): (0,) * 6}
+        )
+    assert exc.value.law == "unexpected_hom" and exc.value.witness == (1, 0)
+    with pytest.raises(ValidationError) as exc:
+        strong_semilattice_of_solutions(spec.y, sols, {(0, 1): (0, 3)})
+    assert exc.value.law == "not_a_hom" and exc.value.witness == ((0, 1), None)
+    # on the chain 0 > 1 > 2 of sl3, flips make every map equivariant, but
+    # identity maps down 0 > 1 > 2 do not compose to the constant map 0 > 2
+    chain3 = wbk.catalog_get("sl3_trivial").semilattice()
+    flip = wbk.solution_of(wbk.catalog_get("c2_trivial").as_dual())
+    with pytest.raises(ValidationError) as exc:
+        strong_semilattice_of_solutions(
+            chain3, (flip, flip, flip), {(0, 1): (0, 1), (1, 2): (0, 1), (0, 2): (0, 0)}
+        )
+    assert exc.value.law == "composition" and exc.value.witness == (0, 1, 2, 1)
 
 
 def test_period_law_for_glued_solution():
