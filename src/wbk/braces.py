@@ -17,6 +17,7 @@ from .tables import (
     CliffordTable,
     FiniteGroupTable,
     SemilatticeTable,
+    _induced,
     clifford_of_group,
     validate_clifford,
     validate_group,
@@ -108,10 +109,7 @@ class DualWeakBrace:
     def semilattice(self) -> SemilatticeTable:
         """Meet table of the idempotents, indexed by component."""
         idx = {e: i for i, e in enumerate(self.idempotents)}
-        meet = tuple(
-            tuple(idx[self.add.op[e][f]] for f in self.idempotents) for e in self.idempotents
-        )
-        return validate_semilattice(meet)
+        return validate_semilattice(_induced(self.add.op, self.idempotents, idx))
 
     def component_members(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in self.idempotents]
@@ -189,11 +187,9 @@ def trivial_brace(g: FiniteGroupTable) -> SkewBrace:
 
 def relabel(s: DualWeakBrace, perm: tuple[int, ...]) -> DualWeakBrace:
     """Transport s along a bijection old-index -> new-index and revalidate."""
-    n = s.order
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            add[perm[a]][perm[b]] = perm[s.add.op[a][b]]
-            mul[perm[a]][perm[b]] = perm[s.mul.op[a][b]]
+    n, perm = s.order, tuple(perm)
+    if len(perm) != n or set(perm) != set(range(n)):
+        raise ValueError(f"not a permutation of range({n}): {perm!r}")
+    inverse = sorted(range(n), key=perm.__getitem__)
+    add, mul = _induced(s.add.op, inverse, perm), _induced(s.mul.op, inverse, perm)
     return validate_dual_weak_brace(add, mul)

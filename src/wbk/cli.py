@@ -123,10 +123,11 @@ def _series_line(rep: series.SeriesReport) -> str:
     return f"{label}: " + " → ".join(cells) + f" ({state})"
 
 
-def _limit(items, args):
+def _limit(items, args, line=str) -> list:
+    """One line per item, cut to --limit items plus a closing "truncated" line."""
     if args.limit is not None and len(items) > args.limit:
-        return items[: args.limit], True
-    return items, False
+        return [line(x) for x in items[: args.limit]] + ["truncated"]
+    return [line(x) for x in items]
 
 
 def _cmd_catalog(args) -> Report:
@@ -182,10 +183,7 @@ def _cmd_solve(args) -> Report:
         for b in range(r.order)
         for u, v in [r.apply(a, b)]
     ]
-    rows, cut = _limit(rows, args)
-    lines = [f"order: {r.order}", *rows]
-    if cut:
-        lines.append("truncated")
+    lines = [f"order: {r.order}", *_limit(rows, args)]
     return Report("solve", "pass", lines, [to_obj(r)])
 
 
@@ -219,11 +217,8 @@ def _cmd_regularity(args) -> Report:
 def _cmd_ideals(args) -> Report:
     s = _as_dual(_load_one(args))
     enum = ideals.enumerate_ideals(s, mode=args.mode)
-    shown, cut = _limit(list(enum.ideals), args)
     lines = [f"mode: {enum.mode}", f"count: {len(enum.ideals)}"]
-    lines += [f"{_set_str(x)} {_tier(s, x)}" for x in shown]
-    if cut:
-        lines.append("truncated")
+    lines += _limit(enum.ideals, args, lambda x: f"{_set_str(x)} {_tier(s, x)}")
     return Report("ideals", "pass", lines, [sorted(sorted(x) for x in enum.ideals)])
 
 
@@ -253,10 +248,7 @@ def _cmd_homs(args) -> Report:
     if not isinstance(a, SkewBrace) or not isinstance(b, SkewBrace):
         raise UsageError("homs needs two skew_brace inputs")
     maps = enumerate_skew_brace_homs(a, b)
-    shown, cut = _limit(maps, args)
-    lines = [f"count: {len(maps)}"] + [str(list(f)) for f in shown]
-    if cut:
-        lines.append("truncated")
+    lines = [f"count: {len(maps)}"] + _limit(maps, args, lambda f: str(list(f)))
     return Report("homs", "pass", lines, [list(f) for f in maps])
 
 

@@ -14,7 +14,9 @@ from .braces import DualWeakBrace, SkewBrace, validate_dual_weak_brace, validate
 from .errors import InternalInvariantBroken, ValidationError
 from .tables import (
     SemilatticeTable,
+    _first_non_hom,
     _glue,
+    _induced,
     _validate_hom_system,
     enumerate_group_homs,
     validate_semilattice,
@@ -36,17 +38,6 @@ class StrongSemilatticeSpec:
         return self.homs[(alpha, beta)]
 
 
-def _check_brace_hom(a: SkewBrace, b: SkewBrace, f) -> tuple[int, int] | None:
-    """First pair where f fails to preserve add or mul, else None."""
-    for x in range(a.order):
-        for y in range(a.order):
-            if f[a.add.op[x][y]] != b.add.op[f[x]][f[y]]:
-                return (x, y)
-            if f[a.mul.op[x][y]] != b.mul.op[f[x]][f[y]]:
-                return (x, y)
-    return None
-
-
 def validate_spec(y_raw, braces_raw, homs_raw) -> StrongSemilatticeSpec:
     """Validate the semilattice, each brace, each hom, and transitivity.
 
@@ -59,9 +50,10 @@ def validate_spec(y_raw, braces_raw, homs_raw) -> StrongSemilatticeSpec:
     )
 
     def check(alpha: int, beta: int, f) -> None:
-        bad = _check_brace_hom(braces[alpha], braces[beta], f)
+        a, b = braces[alpha], braces[beta]
+        bad = _first_non_hom(f, ((a.add.op, b.add.op), (a.mul.op, b.mul.op)))
         if bad is not None:
-            raise ValidationError("not_a_hom", ((alpha, beta), bad))
+            raise ValidationError("not_a_hom", ((alpha, beta), bad[:2]))
 
     homs = _validate_hom_system(y, [b.order for b in braces], homs_raw, check)
     return StrongSemilatticeSpec(y, braces, homs)
@@ -89,27 +81,17 @@ def decompose(s: DualWeakBrace) -> StrongSemilatticeSpec:
     """
     y = s.semilattice()
     members = s.component_members()
-    rank = {}
-    for comp in members:
-        for i, a in enumerate(comp):
-            rank[a] = i
+    rank = {a: i for comp in members for i, a in enumerate(comp)}
 
     braces = []
     for comp in members:
-        def local(table):
-            out = []
-            for a in comp:
-                row = []
-                for b in comp:
-                    v = table[a][b]
-                    if s.component_of[v] != s.component_of[a]:
-                        raise InternalInvariantBroken("component not closed under operation")
-                    row.append(rank[v])
-                out.append(row)
-            return out
-
+        local = {a: i for i, a in enumerate(comp)}
         try:
-            braces.append(validate_skew_brace(local(s.add.op), local(s.mul.op)))
+            add, mul = _induced(s.add.op, comp, local), _induced(s.mul.op, comp, local)
+        except KeyError:
+            raise InternalInvariantBroken("component not closed under operation") from None
+        try:
+            braces.append(validate_skew_brace(add, mul))
         except ValidationError as err:
             raise InternalInvariantBroken(f"component is not a skew brace: {err}") from err
 
@@ -132,19 +114,8 @@ def enumerate_skew_brace_homs(a: SkewBrace, b: SkewBrace) -> list[tuple[int, ...
     Backtracks over mul-side generator images; add preservation is checked
     on the closed map (the mul closure pins every value).
     """
-    out = []
-    for f in enumerate_group_homs(a.mul, b.mul):
-        ok = True
-        for x in range(a.order):
-            for y in range(a.order):
-                if f[a.add.op[x][y]] != b.add.op[f[x]][f[y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(f)
-    return out
+    adds = ((a.add.op, b.add.op),)
+    return [f for f in enumerate_group_homs(a.mul, b.mul) if _first_non_hom(f, adds) is None]
 
 
 @dataclass(frozen=True)
@@ -229,10 +200,8 @@ def are_isomorphic(s: DualWeakBrace, t: DualWeakBrace) -> IsomorphismWitness | N
             theta = chosen[alpha]
             for i, a in enumerate(mem_s[alpha]):
                 g[a] = mem_t[eta[alpha]][theta[i]]
-        for a in range(s.order):
-            for b in range(s.order):
-                if g[s.add.op[a][b]] != t.add.op[g[a]][g[b]] or g[s.mul.op[a][b]] != t.mul.op[g[a]][g[b]]:
-                    raise InternalInvariantBroken("assembled isomorphism fails on a pair")
+        if _first_non_hom(g, ((s.add.op, t.add.op), (s.mul.op, t.mul.op))) is not None:
+            raise InternalInvariantBroken("assembled isomorphism fails on a pair")
         return IsomorphismWitness(
             tuple(eta), tuple(chosen[alpha] for alpha in range(k)), tuple(g)
         )

@@ -21,7 +21,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .tables import _close
+from .tables import _close, _first_non_hom, _induced
 
 DEFAULT_MAX_ORDER = 24
 EXHAUSTIVE_BOUND = 16
@@ -224,9 +224,7 @@ def quotient(s: DualWeakBrace, ideal) -> QuotientStructure:
         for b in range(a, n):
             if proj[b] is None and s.zero_part(b) == za and s.plus(s.neg(a), b) in ideal:
                 proj[b] = c
-    m = len(reps)
-    qadd = [[proj[s.plus(ra, rb)] for rb in reps] for ra in reps]
-    qmul = [[proj[s.times(ra, rb)] for rb in reps] for ra in reps]
+    qadd, qmul = _induced(s.add.op, reps, proj), _induced(s.mul.op, reps, proj)
     for a in range(n):
         for b in range(n):
             if proj[s.plus(a, b)] != qadd[proj[a]][proj[b]] or proj[s.times(a, b)] != qmul[proj[a]][proj[b]]:
@@ -241,12 +239,9 @@ def verify_hom(s: DualWeakBrace, t: DualWeakBrace, f) -> tuple[int, ...]:
     f = tuple(f)
     if len(f) != s.order or any(not 0 <= v < t.order for v in f):
         raise NotAHom((len(f),))
-    for a in range(s.order):
-        for b in range(s.order):
-            if f[s.plus(a, b)] != t.plus(f[a], f[b]):
-                raise NotAHom((a, b), side="add")
-            if f[s.times(a, b)] != t.times(f[a], f[b]):
-                raise NotAHom((a, b), side="mul")
+    bad = _first_non_hom(f, ((s.add.op, t.add.op), (s.mul.op, t.mul.op)))
+    if bad is not None:
+        raise NotAHom(bad[:2], side=("add", "mul")[bad[2]])
     return f
 
 
@@ -293,8 +288,7 @@ def sub_structure(t: DualWeakBrace, members) -> tuple[DualWeakBrace, tuple[int, 
         raise ValidationError(chk.law, chk.witness)
     labels = tuple(sorted(x))
     rank = {a: i for i, a in enumerate(labels)}
-    add = [[rank[t.plus(a, b)] for b in labels] for a in labels]
-    mul = [[rank[t.times(a, b)] for b in labels] for a in labels]
+    add, mul = _induced(t.add.op, labels, rank), _induced(t.mul.op, labels, rank)
     return validate_dual_weak_brace(add, mul), labels
 
 
@@ -318,14 +312,8 @@ def first_isomorphism_check(s: DualWeakBrace, t: DualWeakBrace, f) -> bool:
         return False
     if set(induced) != set(f):
         return False
-    m = q.quotient.order
-    for a in range(m):
-        for b in range(m):
-            if induced[q.quotient.plus(a, b)] != t.plus(induced[a], induced[b]):
-                return False
-            if induced[q.quotient.times(a, b)] != t.times(induced[a], induced[b]):
-                return False
-    return True
+    qs = q.quotient
+    return _first_non_hom(induced, ((qs.add.op, t.add.op), (qs.mul.op, t.mul.op))) is None
 
 
 def ideal_closure(s: DualWeakBrace, seed) -> frozenset:

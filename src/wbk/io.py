@@ -71,11 +71,14 @@ def _need(obj: dict, key: str, kind=None):
     return obj[key]
 
 
-def _table(obj: dict, key: str):
-    """A table field: a list of row lists.  Entries are left to the validators."""
+def _table(obj: dict, key: str, size_key: str | None = None):
+    """A table field: a list of row lists, as many as obj[size_key] when that
+    is present.  Entries are left to the validators."""
     rows = _need(obj, key, (list, tuple))
     if not all(isinstance(row, (list, tuple)) for row in rows):
         raise ParseError(f"field {key!r} must be a list of rows")
+    if size_key in obj and (type(obj[size_key]) is not int or obj[size_key] != len(rows)):
+        raise ParseError(f"declared {size_key} {obj[size_key]!r} but {key!r} has {len(rows)} rows")
     return rows
 
 
@@ -84,22 +87,25 @@ def from_obj(obj) -> object:
         raise ParseError("top-level value must be an object")
     kind = _need(obj, "kind")
     if kind == "group":
-        return validate_group(_table(obj, "op"))
+        return validate_group(_table(obj, "op", "order"))
     if kind == "semilattice":
-        return validate_semilattice(_table(obj, "meet"))
+        return validate_semilattice(_table(obj, "meet", "size"))
     if kind == "skew_brace":
-        return validate_skew_brace(_table(obj, "add"), _table(obj, "mul"))
+        return validate_skew_brace(_table(obj, "add", "order"), _table(obj, "mul", "order"))
     if kind == "dual_weak_brace":
-        return validate_dual_weak_brace(_table(obj, "add"), _table(obj, "mul"))
+        return validate_dual_weak_brace(_table(obj, "add", "order"), _table(obj, "mul", "order"))
     if kind == "strong_semilattice":
-        y = validate_semilattice(_table(_need(obj, "semilattice", dict), "meet"))
+        y = validate_semilattice(_table(_need(obj, "semilattice", dict), "meet", "size"))
         braces_obj = _need(obj, "braces", dict)
         braces = []
         for i in range(y.size):
             b = braces_obj.get(str(i))
             if not isinstance(b, dict):
                 raise ParseError(f"missing brace for semilattice element {i}")
-            braces.append((_table(b, "add"), _table(b, "mul")))
+            braces.append((_table(b, "add", "order"), _table(b, "mul", "order")))
+        extra = sorted(braces_obj.keys() - {str(i) for i in range(y.size)})
+        if extra:
+            raise ParseError(f"brace key {extra[0]!r} names no semilattice element")
         homs = {}
         for key, f in _need(obj, "homs", dict).items():
             try:

@@ -147,6 +147,34 @@ def _glue(y: SemilatticeTable, orders, homs: dict, cell) -> list[list]:
     return rows
 
 
+def _first_non_hom(f, pairs) -> tuple[int, int, int] | None:
+    """Least (x, y, k) with f[src[x][y]] != dst[f[x]][f[y]], (src, dst) = pairs[k].
+
+    Least is lexicographic in (x, y), ties going to the lower k; None when f
+    carries every src table into its dst table.
+    """
+    best = None
+    for k, (src, dst) in enumerate(pairs):
+        for x, fx in enumerate(f):
+            if best is not None and x > best[0]:
+                break  # no later row of this table can beat best
+            row, img = src[x], dst[fx]
+            for y, fy in enumerate(f):
+                if f[row[y]] != img[fy]:
+                    break
+            else:
+                continue  # row x holds no failure
+            if best is None or (x, y) < best[:2]:
+                best = (x, y, k)
+            break
+    return best
+
+
+def _induced(op, elems, label) -> list[list]:
+    """Table of op restricted to elems, entries renamed through label."""
+    return [[label[op[a][b]] for b in elems] for a in elems]
+
+
 @dataclass(frozen=True)
 class CliffordTable:
     """A Clifford semigroup: inverse semigroup with a a' = a' a for all a."""
@@ -301,9 +329,8 @@ def enumerate_group_homs(a: FiniteGroupTable, b: FiniteGroupTable) -> list[tuple
 
     backtrack(0, {a.identity: b.identity})
     for f in found:
-        for x in range(a.order):
-            for y in range(a.order):
-                if f[a.op[x][y]] != b.op[f[x]][f[y]]:
-                    raise InternalInvariantBroken(f"hom closure produced a non-hom at {(x, y)}")
+        bad = _first_non_hom(f, ((a.op, b.op),))
+        if bad is not None:
+            raise InternalInvariantBroken(f"hom closure produced a non-hom at {bad[:2]}")
     found.sort()
     return found

@@ -146,6 +146,23 @@ def test_from_obj_shape_errors_are_parse_errors():
     with pytest.raises(ParseError) as exc:
         wbk.from_obj(spec_obj)
     assert "0>1" in str(exc.value)
+    # a brace under a key that names no semilattice element
+    extra_obj = wbk.to_obj(wbk.catalog_get("c3_sym3"))
+    extra_obj["braces"]["5"] = extra_obj["braces"]["0"]
+    with pytest.raises(ParseError) as exc:
+        wbk.from_obj(extra_obj)
+    assert "'5'" in str(exc.value)
+    # a declared order or size that disagrees with the table
+    with pytest.raises(ParseError):
+        wbk.from_obj({"kind": "group", "order": 5, "op": [[0, 1], [1, 0]]})
+    with pytest.raises(ParseError):
+        wbk.from_obj({"kind": "semilattice", "size": 1, "meet": [[0, 1], [1, 1]]})
+    with pytest.raises(ParseError):
+        wbk.from_obj({"kind": "skew_brace", "order": 2, "add": [[0]], "mul": [[0]]})
+    with pytest.raises(ParseError):
+        wbk.from_obj({"kind": "dual_weak_brace", "order": "1", "add": [[0]], "mul": [[0]]})
+    # without the field the table alone decides
+    assert wbk.from_obj({"kind": "group", "op": [[0, 1], [1, 0]]}).order == 2
     # bad entries inside well-shaped lists still reach the validators
     with pytest.raises(wbk.ValidationError) as exc:
         wbk.from_obj({"kind": "group", "op": [[0, 5], [1, 0]]})

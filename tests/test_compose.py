@@ -45,7 +45,7 @@ def test_validate_spec_rejects_non_hom():
     with pytest.raises(ValidationError) as exc:
         wbk.validate_spec(CHAIN2, list(spec.braces), {(0, 1): (0, 1, 2)})
     assert exc.value.law == "not_a_hom"
-    assert exc.value.witness[0] == (0, 1)
+    assert exc.value.witness == ((0, 1), (1, 1))
 
 
 def test_validate_spec_rejects_unexpected_hom():

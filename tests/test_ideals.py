@@ -125,7 +125,11 @@ def test_verify_hom_and_kernel(z6):
     assert wbk.first_isomorphism_check(z6, c2, f)
     with pytest.raises(NotAHom) as exc:
         wbk.verify_hom(z6, c2, (0, 1, 1, 0, 0, 1))
-    assert exc.value.side in ("add", "mul")
+    assert exc.value.witness == (1, 1) and exc.value.side == "add"
+    # add fails too, but only at the later pair (1, 4)
+    with pytest.raises(NotAHom) as exc:
+        wbk.verify_hom(z6, c2, (0, 0, 0, 0, 0, 1))
+    assert exc.value.witness == (1, 2) and exc.value.side == "mul"
 
 
 def test_sub_structure(z6):

@@ -1,10 +1,13 @@
 """Group, semilattice, and Clifford table validation plus hom enumeration."""
 
+import random
+
 import pytest
 
 from wbk import (
     ValidationError,
     catalog_get,
+    catalog_list,
     clifford_of_group,
     enumerate_group_homs,
     generating_set,
@@ -12,6 +15,7 @@ from wbk import (
     validate_group,
     validate_semilattice,
 )
+from wbk.tables import _first_non_hom
 
 # order-5 loop: Latin, identity 0, every element self-inverse, not associative
 LOOP5 = [
@@ -147,3 +151,35 @@ def test_enumerate_group_homs_endomorphisms_of_sym3():
         for a in range(6):
             for b in range(6):
                 assert f[sym3.op[a][b]] == sym3.op[f[a]][f[b]]
+
+
+def _brute_first_non_hom(f, pairs):
+    n = len(f)
+    for x in range(n):
+        for y in range(n):
+            for k, (src, dst) in enumerate(pairs):
+                if f[src[x][y]] != dst[f[x]][f[y]]:
+                    return (x, y, k)
+    return None
+
+
+def test_first_non_hom_matches_lexicographic_scan():
+    rng = random.Random(0)
+    braces = [catalog_get(name) for name, kind, _ in catalog_list() if kind == "skew_brace"]
+    braces = [b for b in braces if b.order <= 6]
+    later_wins = 0
+    for a in braces:
+        for b in braces:
+            maps = enumerate_group_homs(a.mul, b.mul) + enumerate_group_homs(a.add, b.add)
+            maps += [tuple(rng.randrange(b.order) for _ in range(a.order)) for _ in range(20)]
+            for pairs in (
+                ((a.add.op, b.add.op), (a.mul.op, b.mul.op)),
+                ((a.mul.op, b.mul.op), (a.add.op, b.add.op)),
+                ((a.mul.op, b.mul.op),),
+            ):
+                for f in maps:
+                    want = _brute_first_non_hom(f, pairs)
+                    assert _first_non_hom(f, pairs) == want, (f, pairs)
+                    later_wins += want is not None and want[2] == 1
+    # the later table must win sometimes, or the tie order goes untested
+    assert later_wins > 0
