@@ -92,7 +92,7 @@ class DualWeakBrace:
         return self.add.op[self.add.op[self.add.op[na][nb]][a]][b]
 
     def zero_part(self, a: int) -> int:
-        return self.add.op[a][self.add.inv[a]]
+        return self.add.zero_of(a)
 
     # -- structure-level helpers --------------------------------------------
 
@@ -134,16 +134,20 @@ def _check_compatibility(add: CliffordTable, mul: CliffordTable) -> None:
             raise ValidationError("compatibility", (a, b, c))
 
 
+def _validate_sides(validate, add_raw, mul_raw) -> tuple:
+    """Validate each table, tagging a failure with the side it came from."""
+    out = []
+    for side, raw in (("add", add_raw), ("mul", mul_raw)):
+        try:
+            out.append(validate(raw))
+        except ValidationError as err:
+            raise ValidationError(err.law, err.witness, side=side) from None
+    return tuple(out)
+
+
 def validate_skew_brace(add_raw, mul_raw) -> SkewBrace:
     """Validate both group tables, the shared identity, and compatibility."""
-    try:
-        add = validate_group(add_raw)
-    except ValidationError as err:
-        raise ValidationError(err.law, err.witness, side="add") from None
-    try:
-        mul = validate_group(mul_raw)
-    except ValidationError as err:
-        raise ValidationError(err.law, err.witness, side="mul") from None
+    add, mul = _validate_sides(validate_group, add_raw, mul_raw)
     if add.order != mul.order:
         raise ValidationError("order_mismatch", (add.order, mul.order))
     if add.identity != mul.identity:
@@ -155,14 +159,7 @@ def validate_skew_brace(add_raw, mul_raw) -> SkewBrace:
 def validate_dual_weak_brace(add_raw, mul_raw) -> DualWeakBrace:
     """Validate both Clifford tables, idempotent agreement, compatibility,
     and a*a' = -a + a; fill the component map from zero parts."""
-    try:
-        add = validate_clifford(add_raw)
-    except ValidationError as err:
-        raise ValidationError(err.law, err.witness, side="add") from None
-    try:
-        mul = validate_clifford(mul_raw)
-    except ValidationError as err:
-        raise ValidationError(err.law, err.witness, side="mul") from None
+    add, mul = _validate_sides(validate_clifford, add_raw, mul_raw)
     if add.order != mul.order:
         raise ValidationError("order_mismatch", (add.order, mul.order))
     if add.idempotents != mul.idempotents:
@@ -176,7 +173,7 @@ def validate_dual_weak_brace(add_raw, mul_raw) -> DualWeakBrace:
             raise ValidationError("second_axiom", (a,))
     _check_compatibility(add, mul)
     comp_idx = {e: i for i, e in enumerate(add.idempotents)}
-    component_of = tuple(comp_idx[add.op[a][add.inv[a]]] for a in range(n))
+    component_of = tuple(comp_idx[add.zero_of(a)] for a in range(n))
     return DualWeakBrace(add, mul, add.idempotents, component_of)
 
 

@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
     OrderTooLarge,
 )
+from .ideals import _tier
 from .io import load, to_obj
 from .solutions import SolutionTable
 from .tables import FiniteGroupTable, SemilatticeTable
@@ -97,16 +98,6 @@ def _set_str(x) -> str:
     return "{" + ", ".join(str(v) for v in sorted(x)) + "}"
 
 
-def _tier(s: DualWeakBrace, x) -> str:
-    if ideals.is_ideal(s, x):
-        return "I"
-    if ideals.is_strong_left_ideal(s, x):
-        return "SL"
-    if ideals.is_left_ideal(s, x):
-        return "L"
-    return "-"
-
-
 # series kind -> (line label, name of chain position m)
 _SERIES_CELLS = {
     "right": ("right", lambda m: "S" + f"({m + 1})".translate(SUP)),
@@ -121,6 +112,10 @@ def _series_line(rep: series.SeriesReport) -> str:
     cells = [f"|{cell(m)}|={len(x)}" for m, x in enumerate(rep.chain)]
     state = f"terminated, index {rep.index}" if rep.terminated else "stalled, no index"
     return f"{label}: " + " → ".join(cells) + f" ({state})"
+
+
+def _series_lines(rep: series.Classification) -> list:
+    return [_series_line(x) for x in (rep.right, rep.socle, rep.annihilator, rep.gamma)]
 
 
 def _limit(items, args, line=str) -> list:
@@ -317,17 +312,11 @@ def _cmd_classify(args) -> Report:
         f"idempotents: {rep.idempotent_count}",
         f"skew: {rep.is_skew}",
         f"brace: {rep.is_brace}",
-        _series_line(rep.right),
-        _series_line(rep.socle),
-        _series_line(rep.annihilator),
-        _series_line(rep.gamma),
+        *_series_lines(rep),
     ]
     for i, comp in enumerate(rep.components):
         lines.append(f"component {i} (order {comp.order}):")
-        lines.append("  " + _series_line(comp.right))
-        lines.append("  " + _series_line(comp.socle))
-        lines.append("  " + _series_line(comp.annihilator))
-        lines.append("  " + _series_line(comp.gamma))
+        lines += ["  " + line for line in _series_lines(comp)]
     return Report("classify", "info", lines, [])
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .braces import DualWeakBrace, validate_dual_weak_brace
@@ -51,104 +52,137 @@ def _check_members(order: int, x) -> None:
         raise ValueError(f"subset members out of range: {sorted(bad)!r}")
 
 
-def _full_inverse_subsemigroup(s: DualWeakBrace, x: frozenset, side: str) -> Check:
-    _check_members(s.order, x)
-    table = s.add if side == "add" else s.mul
+# The ideal laws take (s, x, sorted members) and return the failing Check or
+# None; _LADDER holds them in the order is_ideal reports them.
+
+
+def _full_inverse(side: str, s: DualWeakBrace, x: frozenset, mem: list) -> Check | None:
+    """E(S) contained, closed under the side's inverse and operation."""
+    table = getattr(s, side)
     for e in s.idempotents:
         if e not in x:
             return Check(False, "missing_idempotent", (e,))
-    mem = sorted(x)
     for a in mem:
         if table.inv[a] not in x:
             return Check(False, "no_inverse", (a,))
     for a in mem:
+        row = table.op[a]
         for b in mem:
-            if table.op[a][b] not in x:
+            if row[b] not in x:
                 return Check(False, "not_closed", (a, b))
-    return Check(True)
+    return None
+
+
+def _normal(side: str, s: DualWeakBrace, x: frozenset, mem: list) -> Check | None:
+    """Stable under the side's conjugation a' i a."""
+    table = getattr(s, side)
+    op, inv = table.op, table.inv
+    for a in range(s.order):
+        left = op[inv[a]]
+        for i in mem:
+            if op[left[i]][a] not in x:
+                return Check(False, "not_normal", (a, i))
+    return None
+
+
+def _lambda_invariant(s: DualWeakBrace, x: frozenset, mem: list) -> Check | None:
+    """lam_a(i) = -a + a*i stays in x for every a and member i."""
+    add, mul = s.add, s.mul
+    for a in range(s.order):
+        neg_a, row = add.op[add.inv[a]], mul.op[a]
+        for i in mem:
+            if neg_a[row[i]] not in x:
+                return Check(False, "not_lambda_invariant", (a, i))
+    return None
+
+
+_LADDER = (
+    partial(_full_inverse, "add"),
+    partial(_normal, "add"),
+    _lambda_invariant,
+    partial(_full_inverse, "mul"),
+    partial(_normal, "mul"),
+)
+_IDEAL = (0, 1, 2, 3, 4)
+_PASS = Check(True)
+
+
+def _first_failure(s: DualWeakBrace, x: frozenset, laws) -> tuple[int | None, Check]:
+    """The first of laws (indices into _LADDER) that x breaks, with its Check;
+    (None, passing Check) when x satisfies them all."""
+    mem = sorted(x)
+    for k in laws:
+        bad = _LADDER[k](s, x, mem)
+        if bad is not None:
+            return k, bad
+    return None, _PASS
+
+
+def _holds(s: DualWeakBrace, x, laws) -> Check:
+    x = frozenset(x)
+    _check_members(s.order, x)
+    return _first_failure(s, x, laws)[1]
+
+
+# tier by the first law broken when the ladder runs in the order 0, 2, 1, 3, 4
+_TIERS = {0: "-", 2: "-", 1: "L", 3: "SL", 4: "SL", None: "I"}
+
+
+def _tier(s: DualWeakBrace, x: frozenset) -> str:
+    """I (ideal), SL (strong left ideal), L (left ideal) or -, each law run once."""
+    return _TIERS[_first_failure(s, x, (0, 2, 1, 3, 4))[0]]
 
 
 def is_full_inverse_subsemigroup_add(s: DualWeakBrace, x: frozenset) -> Check:
     """E(S) contained, closed under + and additive inverse."""
-    return _full_inverse_subsemigroup(s, frozenset(x), "add")
+    return _holds(s, x, (0,))
 
 
 def is_normal_subsemigroup(s: DualWeakBrace, x: frozenset, side: str) -> Check:
     """Full inverse subsemigroup stable under conjugation a' i a."""
-    x = frozenset(x)
-    base = _full_inverse_subsemigroup(s, x, side)
-    if not base:
-        return base
-    table = s.add if side == "add" else s.mul
-    for a in range(s.order):
-        ai = table.inv[a]
-        for i in sorted(x):
-            if table.op[table.op[ai][i]][a] not in x:
-                return Check(False, "not_normal", (a, i))
-    return Check(True)
-
-
-def _lambda_invariant(s: DualWeakBrace, x: frozenset) -> Check:
-    for a in range(s.order):
-        for i in sorted(x):
-            if s.lam(a, i) not in x:
-                return Check(False, "not_lambda_invariant", (a, i))
-    return Check(True)
+    return _holds(s, x, (0, 1) if side == "add" else (3, 4))
 
 
 def is_left_ideal(s: DualWeakBrace, x: frozenset) -> Check:
-    x = frozenset(x)
-    base = is_full_inverse_subsemigroup_add(s, x)
-    if not base:
-        return base
-    return _lambda_invariant(s, x)
+    return _holds(s, x, (0, 2))
 
 
 def is_strong_left_ideal(s: DualWeakBrace, x: frozenset) -> Check:
-    x = frozenset(x)
-    base = is_normal_subsemigroup(s, x, "add")
-    if not base:
-        return base
-    return _lambda_invariant(s, x)
+    return _holds(s, x, (0, 1, 2))
 
 
 def is_ideal(s: DualWeakBrace, x: frozenset) -> Check:
-    x = frozenset(x)
-    base = is_normal_subsemigroup(s, x, "add")
-    if not base:
-        return base
-    lam = _lambda_invariant(s, x)
-    if not lam:
-        return lam
-    return is_normal_subsemigroup(s, x, "mul")
+    return _holds(s, x, _IDEAL)
+
+
+def _require_ideal(s: DualWeakBrace, x) -> None:
+    chk = is_ideal(s, x)
+    if not chk:
+        raise NotAnIdeal(chk.law, chk.witness)
+
+
+def _for_every_b(s: DualWeakBrace, law) -> frozenset:
+    """Elements a with law(a, b) for every b."""
+    n = s.order
+    return frozenset(a for a in range(n) if all(law(a, b) for b in range(n)))
 
 
 def socle(s: DualWeakBrace) -> frozenset:
     """Elements a with a+b = a*b and a+b = b+a for every b."""
-    n = s.order
-    return frozenset(
-        a
-        for a in range(n)
-        if all(
-            s.plus(a, b) == s.times(a, b) and s.plus(a, b) == s.plus(b, a) for b in range(n)
-        )
-    )
+    return _for_every_b(s, lambda a, b: s.plus(a, b) == s.times(a, b)) & additive_center(s)
 
 
 def fix(s: DualWeakBrace) -> frozenset:
     """Elements b with a+b = a*b for every a."""
-    n = s.order
-    return frozenset(b for b in range(n) if all(s.plus(a, b) == s.times(a, b) for a in range(n)))
+    return _for_every_b(s, lambda b, a: s.plus(a, b) == s.times(a, b))
 
 
 def additive_center(s: DualWeakBrace) -> frozenset:
-    n = s.order
-    return frozenset(a for a in range(n) if all(s.plus(a, b) == s.plus(b, a) for b in range(n)))
+    return _for_every_b(s, lambda a, b: s.plus(a, b) == s.plus(b, a))
 
 
 def mul_center(s: DualWeakBrace) -> frozenset:
-    n = s.order
-    return frozenset(a for a in range(n) if all(s.times(a, b) == s.times(b, a) for b in range(n)))
+    return _for_every_b(s, lambda a, b: s.times(a, b) == s.times(b, a))
 
 
 def left_center(s: DualWeakBrace) -> frozenset:
@@ -186,9 +220,7 @@ def commutator_set(s: DualWeakBrace, x, y) -> frozenset:
 def sum_of_ideals(s: DualWeakBrace, i, j) -> frozenset:
     """{a+b : a in I, b in J}; equals {a*b} and is an ideal again."""
     for part in (i, j):
-        chk = is_ideal(s, part)
-        if not chk:
-            raise NotAnIdeal(chk.law, chk.witness)
+        _require_ideal(s, part)
     out = frozenset(s.plus(a, b) for a in i for b in j)
     circ = frozenset(s.times(a, b) for a in i for b in j)
     if out != circ:
@@ -209,9 +241,7 @@ class QuotientStructure:
 def quotient(s: DualWeakBrace, ideal) -> QuotientStructure:
     """S/I with least-index class representatives."""
     ideal = frozenset(ideal)
-    chk = is_ideal(s, ideal)
-    if not chk:
-        raise NotAnIdeal(chk.law, chk.witness)
+    _require_ideal(s, ideal)
     n = s.order
     proj: list[int | None] = [None] * n
     reps: list[int] = []
@@ -237,7 +267,7 @@ def quotient(s: DualWeakBrace, ideal) -> QuotientStructure:
 
 def verify_hom(s: DualWeakBrace, t: DualWeakBrace, f) -> tuple[int, ...]:
     f = tuple(f)
-    if len(f) != s.order or any(not 0 <= v < t.order for v in f):
+    if len(f) != s.order or not all(type(v) is int and 0 <= v < t.order for v in f):
         raise NotAHom((len(f),))
     bad = _first_non_hom(f, ((s.add.op, t.add.op), (s.mul.op, t.mul.op)))
     if bad is not None:
@@ -354,7 +384,7 @@ def enumerate_ideals(s: DualWeakBrace, mode: str = "auto") -> IdealEnumeration:
         found = []
         for bits in range(1 << len(rest)):
             x = base | {rest[k] for k in range(len(rest)) if bits >> k & 1}
-            if is_ideal(s, x):
+            if _first_failure(s, x, _IDEAL)[0] is None:
                 found.append(x)
     elif mode == "closure":
         seen = {ideal_closure(s, {a}) for a in range(s.order)}
@@ -367,7 +397,7 @@ def enumerate_ideals(s: DualWeakBrace, mode: str = "auto") -> IdealEnumeration:
                 break
             seen |= fresh
         for x in seen:
-            if not is_ideal(s, x):
+            if _first_failure(s, x, _IDEAL)[0] is not None:
                 raise InternalInvariantBroken("closure-seeded candidate is not an ideal")
         found = list(seen)
     else:
@@ -385,9 +415,7 @@ def ideal_decomposition(s: DualWeakBrace, ideal) -> IdealDecomposition:
     """Slice an ideal along the components; each slice is an ideal of its
     component and the connecting homs respect the slices."""
     ideal = frozenset(ideal)
-    chk = is_ideal(s, ideal)
-    if not chk:
-        raise NotAnIdeal(chk.law, chk.witness)
+    _require_ideal(s, ideal)
     members = s.component_members()
     rank = {a: i for comp in members for i, a in enumerate(comp)}
     out = []

@@ -112,7 +112,9 @@ def from_obj(obj) -> object:
                 a, b = key.split(">")
                 pair = (int(a), int(b))
             except ValueError:
-                raise ParseError(f"bad hom key {key!r}") from None
+                pair = None
+            if pair is None or min(pair) < 0 or key != f"{pair[0]}>{pair[1]}":
+                raise ParseError(f"bad hom key {key!r}")
             if not isinstance(f, (list, tuple)):
                 raise ParseError(f"hom {key!r} must be a list")
             homs[pair] = tuple(f)

@@ -8,11 +8,12 @@ against the quotient-based definition at every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .braces import DualWeakBrace
-from .errors import InternalInvariantBroken, NotAnIdeal, NotAnnihilatorSeries
+from .errors import InternalInvariantBroken, NotAnnihilatorSeries
 from .ideals import (
+    _require_ideal,
     annihilator,
     commutator_set,
     generated_full_inverse_subsemigroup,
@@ -112,9 +113,7 @@ def gamma_series(s: DualWeakBrace, start=None) -> SeriesReport:
     if start is None:
         start = frozenset(range(s.order))
     start = frozenset(start)
-    chk = is_ideal(s, start)
-    if not chk:
-        raise NotAnIdeal(chk.law, chk.witness)
+    _require_ideal(s, start)
     return _run("gamma-lower", start, frozenset(s.idempotents), lambda prev: gamma_step(s, prev))
 
 
@@ -163,33 +162,30 @@ def verify_sandwich(s: DualWeakBrace, chain) -> SandwichReport:
             raise InternalInvariantBroken("lower bound of the sandwich fails")
         if not chain[j] <= at(ann, j):
             raise InternalInvariantBroken("upper bound of the sandwich fails")
+    stepped: dict[frozenset, frozenset] = {}
+
+    def step(x: frozenset) -> frozenset:
+        if x not in stepped:
+            stepped[x] = gamma_step(s, x)
+        return stepped[x]
+
     for j in range(k):
-        if not gamma_step(s, chain[j + 1]) <= chain[j]:
+        if not step(chain[j + 1]) <= chain[j]:
             raise InternalInvariantBroken("one-step gamma containment fails")
     for i in range(k + 1):
         for j in range(k + 1):
-            lhs = gamma_step(s, sum_of_ideals(s, chain[i], chain[j]))
-            rhs = frozenset(
-                s.plus(a, b)
-                for a in gamma_step(s, chain[i])
-                for b in gamma_step(s, chain[j])
-            )
+            lhs = step(sum_of_ideals(s, chain[i], chain[j]))
+            rhs = frozenset(s.plus(a, b) for a in step(chain[i]) for b in step(chain[j]))
             if lhs != rhs:
                 raise InternalInvariantBroken("gamma of a sum differs from sum of gammas")
     return SandwichReport(True, chain, ann.chain, gam.chain)
 
 
 @dataclass(frozen=True)
-class ComponentClassification:
-    order: int
-    right: SeriesReport
-    socle: SeriesReport
-    annihilator: SeriesReport
-    gamma: SeriesReport
-
-
-@dataclass(frozen=True)
 class Classification:
+    """Series of a structure and, for a dual weak brace, of each component;
+    a component is itself a Classification with no components."""
+
     order: int
     idempotent_count: int
     is_skew: bool
@@ -198,10 +194,10 @@ class Classification:
     socle: SeriesReport
     annihilator: SeriesReport
     gamma: SeriesReport
-    components: tuple[ComponentClassification, ...]
+    components: tuple["Classification", ...]
 
 
-def _classify_one(s: DualWeakBrace) -> tuple[SeriesReport, SeriesReport, SeriesReport, SeriesReport]:
+def _classify_one(s: DualWeakBrace) -> Classification:
     r = right_series(s)
     so = socle_series(s)
     an = annihilator_series(s)
@@ -213,41 +209,24 @@ def _classify_one(s: DualWeakBrace) -> tuple[SeriesReport, SeriesReport, SeriesR
         raise InternalInvariantBroken("upper and lower annihilator series disagree")
     if an.terminated and an.index != ga.index:
         raise InternalInvariantBroken("upper and lower annihilator indices differ")
-    return r, so, an, ga
+    return Classification(
+        s.order, len(s.idempotents), s.is_skew(), s.is_brace(), r, so, an, ga, ()
+    )
 
 
 def classify(s: DualWeakBrace) -> Classification:
     """Series on s and on every component, with the index relations asserted."""
     from .compose import decompose
 
-    r, so, an, ga = _classify_one(s)
-    comps = []
-    for b in decompose(s).braces:
-        d = b.as_dual()
-        cr, cso, can, cga = _classify_one(d)
-        comps.append(ComponentClassification(b.order, cr, cso, can, cga))
-    if so.terminated:
-        idx = [c.socle.index for c in comps]
-        if any(i is None for i in idx) or max(idx) != so.index:
-            raise InternalInvariantBroken("socle index is not the component maximum")
-    if all(c.socle.terminated for c in comps):
-        if not so.terminated or so.index != max(c.socle.index for c in comps):
-            raise InternalInvariantBroken("component socle indices do not assemble")
-    if an.terminated:
-        idx = [c.annihilator.index for c in comps]
-        if any(i is None for i in idx) or max(idx) != an.index:
-            raise InternalInvariantBroken("annihilator index is not the component maximum")
-    if all(c.annihilator.terminated for c in comps):
-        if not an.terminated or an.index != max(c.annihilator.index for c in comps):
-            raise InternalInvariantBroken("component annihilator indices do not assemble")
-    return Classification(
-        s.order,
-        len(s.idempotents),
-        s.is_skew(),
-        s.is_brace(),
-        r,
-        so,
-        an,
-        ga,
-        tuple(comps),
-    )
+    top = _classify_one(s)
+    comps = [_classify_one(b.as_dual()) for b in decompose(s).braces]
+    for noun in ("socle", "annihilator"):
+        whole, parts = getattr(top, noun), [getattr(c, noun) for c in comps]
+        if whole.terminated:
+            idx = [p.index for p in parts]
+            if any(i is None for i in idx) or max(idx) != whole.index:
+                raise InternalInvariantBroken(f"{noun} index is not the component maximum")
+        if all(p.terminated for p in parts):
+            if not whole.terminated or whole.index != max(p.index for p in parts):
+                raise InternalInvariantBroken(f"component {noun} indices do not assemble")
+    return replace(top, components=tuple(comps))

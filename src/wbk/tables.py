@@ -47,9 +47,6 @@ class FiniteGroupTable:
     identity: int
     inv: tuple[int, ...]
 
-    def mul(self, a: int, b: int) -> int:
-        return self.op[a][b]
-
     def exponent(self) -> int:
         """lcm of all element orders."""
         from math import lcm
@@ -183,9 +180,6 @@ class CliffordTable:
     op: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     idempotents: tuple[int, ...]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.op[a][b]
 
     def zero_of(self, a: int) -> int:
         """The idempotent a a' of a's group component."""

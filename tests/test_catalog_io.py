@@ -146,6 +146,16 @@ def test_from_obj_shape_errors_are_parse_errors():
     with pytest.raises(ParseError) as exc:
         wbk.from_obj(spec_obj)
     assert "0>1" in str(exc.value)
+    # hom keys are canonical decimal pairs; another spelling of 0>1, alone
+    # or beside the canonical one, is a parse error
+    for key in ("00>1", "0_0>1", " 0>1", "+0>1", "0> 1", "0>01", "-0>1", "-1>0", "0>1>2"):
+        for keep in (False, True):
+            key_obj = wbk.to_obj(wbk.catalog_get("c3_sym3"))
+            f = key_obj["homs"]["0>1"] if keep else key_obj["homs"].pop("0>1")
+            key_obj["homs"][key] = f
+            with pytest.raises(ParseError) as exc:
+                wbk.from_obj(key_obj)
+            assert repr(key) in str(exc.value)
     # a brace under a key that names no semilattice element
     extra_obj = wbk.to_obj(wbk.catalog_get("c3_sym3"))
     extra_obj["braces"]["5"] = extra_obj["braces"]["0"]

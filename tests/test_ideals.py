@@ -4,7 +4,7 @@ import pytest
 
 import wbk
 from wbk import NotAHom, NotAnIdeal, OrderTooLarge
-from wbk.ideals import additive_center, is_normal_subsemigroup, mul_center
+from wbk.ideals import _tier, additive_center, is_normal_subsemigroup, mul_center
 
 
 def test_z6_special_subsets(z6):
@@ -130,6 +130,12 @@ def test_verify_hom_and_kernel(z6):
     with pytest.raises(NotAHom) as exc:
         wbk.verify_hom(z6, c2, (0, 0, 0, 0, 0, 1))
     assert exc.value.witness == (1, 2) and exc.value.side == "mul"
+    # images must be ints in range; 1.0 and True are rejected by shape
+    for bad in ((0, 1.0, 0, 1, 0, 1), (0, True, 0, 1, 0, 1)):
+        for fn in (wbk.verify_hom, wbk.kernel, wbk.image, wbk.first_isomorphism_check):
+            with pytest.raises(NotAHom) as exc:
+                fn(z6, c2, bad)
+            assert exc.value.witness == (6,)
 
 
 def test_sub_structure(z6):
@@ -214,3 +220,77 @@ def test_generated_full_inverse_subsemigroup_matches_subset_oracle(all_structure
         for seed in seeds:
             got = wbk.generated_full_inverse_subsemigroup(s, seed)
             assert got == _least_passing(subs, seed), (name, seed)
+
+
+def _reference_laws(s, x):
+    """The five ideal laws from their definitions, in the order is_ideal
+    reports them: full inverse on +, normal on +, lambda-invariant, full
+    inverse on *, normal on *.  Each is (law, least witness) or None."""
+    n, mem = s.order, sorted(x)
+
+    def first(law, witnesses):
+        return next(((law, w) for w in witnesses), None)
+
+    def full_inverse(op, inv):
+        return (
+            first("missing_idempotent", ((e,) for e in s.idempotents if e not in x))
+            or first("no_inverse", ((a,) for a in mem if inv(a) not in x))
+            or first("not_closed", ((a, b) for a in mem for b in mem if op(a, b) not in x))
+        )
+
+    def normal(op, inv):
+        pairs = ((a, i) for a in range(n) for i in mem if op(op(inv(a), i), a) not in x)
+        return first("not_normal", pairs)
+
+    lam = (
+        (a, i) for a in range(n) for i in mem if s.plus(s.neg(a), s.times(a, i)) not in x
+    )
+    return [
+        full_inverse(s.plus, s.neg),
+        normal(s.plus, s.neg),
+        first("not_lambda_invariant", lam),
+        full_inverse(s.times, s.minv),
+        normal(s.times, s.minv),
+    ]
+
+
+def test_predicates_follow_the_law_ladder(all_structures):
+    predicates = {
+        wbk.is_full_inverse_subsemigroup_add: (0,),
+        (lambda s, x: is_normal_subsemigroup(s, x, "add")): (0, 1),
+        (lambda s, x: is_normal_subsemigroup(s, x, "mul")): (3, 4),
+        wbk.is_left_ideal: (0, 2),
+        wbk.is_strong_left_ideal: (0, 1, 2),
+        wbk.is_ideal: (0, 1, 2, 3, 4),
+    }
+    # the opposites add non-trivial lambdas on non-abelian (S, +), where a
+    # subgroup can fail + normality and lambda invariance at once
+    structures = list(all_structures)
+    structures += [(name + " opposite", s.opposite()) for name, s in all_structures]
+    checked = 0
+    for name, s in structures:
+        if s.order <= 6:
+            subsets = [
+                frozenset(a for a in range(s.order) if bits >> a & 1)
+                for bits in range(1 << s.order)
+            ]
+        elif s.order <= 9:
+            subsets = _passing_supersets(s, lambda s, x: True)
+        else:
+            continue
+        for x in subsets:
+            laws = _reference_laws(s, x)
+            for pred, ladder in predicates.items():
+                bad = next((laws[k] for k in ladder if laws[k] is not None), None)
+                want = (True, None, None) if bad is None else (False, *bad)
+                chk = pred(s, x)
+                assert (bool(chk), chk.law, chk.witness) == want, (name, sorted(x), ladder)
+            tier = (
+                "I" if wbk.is_ideal(s, x)
+                else "SL" if wbk.is_strong_left_ideal(s, x)
+                else "L" if wbk.is_left_ideal(s, x)
+                else "-"
+            )
+            assert _tier(s, x) == tier, (name, sorted(x))
+            checked += 1
+    assert checked == 2 * (64 * 4 + 16 * 2 + 8 * 2 + 4 * 2 + 2 ** 7)

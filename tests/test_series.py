@@ -134,6 +134,11 @@ def test_classify_glued(c3_sym3, c2_c4):
     assert not cls.is_skew and not cls.is_brace
     assert cls.right.index == 1
     assert [c.order for c in cls.components] == [3, 6]
+    # each component is a skew brace, classified on its own
+    for c in cls.components:
+        assert isinstance(c, wbk.Classification) and c.components == ()
+        assert c.idempotent_count == 1 and c.is_skew
+    assert [c.is_brace for c in cls.components] == [True, False]
     # the sym3 component blocks every ascending series
     assert not cls.components[1].socle.terminated
     assert not cls.socle.terminated
