@@ -8,7 +8,7 @@ Global element order is always (semilattice index, local index).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import count, permutations
 
 from .braces import DualWeakBrace, SkewBrace, validate_dual_weak_brace, validate_skew_brace
 from .errors import InternalInvariantBroken, ValidationError
@@ -17,6 +17,7 @@ from .tables import (
     _first_non_hom,
     _glue,
     _induced,
+    _iter_group_homs,
     _validate_hom_system,
     enumerate_group_homs,
     validate_semilattice,
@@ -108,14 +109,16 @@ def decompose(s: DualWeakBrace) -> StrongSemilatticeSpec:
     return validate_spec(y, braces, homs)
 
 
-def enumerate_skew_brace_homs(a: SkewBrace, b: SkewBrace) -> list[tuple[int, ...]]:
-    """All maps preserving both tables, sorted lexicographically.
-
-    Backtracks over mul-side generator images; add preservation is checked
-    on the closed map (the mul closure pins every value).
-    """
+def _brace_homs(a: SkewBrace, b: SkewBrace, mul_homs):
+    """The maps among mul_homs (homs a.mul -> b.mul) that also carry a.add
+    into b.add, lazily and in their order; the mul closure pins every value."""
     adds = ((a.add.op, b.add.op),)
-    return [f for f in enumerate_group_homs(a.mul, b.mul) if _first_non_hom(f, adds) is None]
+    return (f for f in mul_homs if _first_non_hom(f, adds) is None)
+
+
+def enumerate_skew_brace_homs(a: SkewBrace, b: SkewBrace) -> list[tuple[int, ...]]:
+    """All maps preserving both tables, sorted lexicographically."""
+    return list(_brace_homs(a, b, enumerate_group_homs(a.mul, b.mul)))
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,12 @@ def _invariant_vector(spec: StrongSemilatticeSpec):
 def are_isomorphic(s: DualWeakBrace, t: DualWeakBrace) -> IsomorphismWitness | None:
     """Search for a structure isomorphism; None when none exists.
 
-    The witness is the first found in canonical order: eta by lexicographic
-    permutation order, thetas by hom enumeration order.
+    The witness is the first in canonical order: eta by lexicographic
+    permutation order, then the thetas lexicographically, component 0
+    first, each theta from its component's brace isomorphisms in
+    lexicographic order.  Those are generated lazily, with non-injective
+    partial maps pruned, so the search stops at the first witness; only a
+    None verdict runs every candidate to the end.
     """
     if s.order != t.order or len(s.idempotents) != len(t.idempotents):
         return None
@@ -144,18 +151,25 @@ def are_isomorphic(s: DualWeakBrace, t: DualWeakBrace) -> IsomorphismWitness | N
     if _invariant_vector(ds) != _invariant_vector(dt):
         return None
     k = ds.y.size
-    iso_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    iso_cache: dict = {}  # (alpha, beta) -> (isos found so far, their generator)
 
-    def isos(alpha: int, beta: int) -> list[tuple[int, ...]]:
+    def isos(alpha: int, beta: int):
+        # every brace isomorphism B_alpha -> B'_beta, in lexicographic order,
+        # searched only as far as a caller reads
         if (alpha, beta) not in iso_cache:
             ba, bb = ds.braces[alpha], dt.braces[beta]
-            if ba.order != bb.order:
-                iso_cache[(alpha, beta)] = []
-            else:
-                iso_cache[(alpha, beta)] = [
-                    f for f in enumerate_skew_brace_homs(ba, bb) if len(set(f)) == ba.order
-                ]
-        return iso_cache[(alpha, beta)]
+            more = iter(())
+            if ba.order == bb.order:
+                more = _brace_homs(ba, bb, _iter_group_homs(ba.mul, bb.mul, injective=True))
+            iso_cache[(alpha, beta)] = ([], more)
+        found, more = iso_cache[(alpha, beta)]
+        for i in count():
+            if i == len(found):
+                f = next(more, None)
+                if f is None:
+                    return
+                found.append(f)
+            yield found[i]
 
     for eta in permutations(range(k)):
         if any(
@@ -200,6 +214,8 @@ def are_isomorphic(s: DualWeakBrace, t: DualWeakBrace) -> IsomorphismWitness | N
             theta = chosen[alpha]
             for i, a in enumerate(mem_s[alpha]):
                 g[a] = mem_t[eta[alpha]][theta[i]]
+        if len(set(g)) != s.order:
+            raise InternalInvariantBroken("assembled isomorphism is not a bijection")
         if _first_non_hom(g, ((s.add.op, t.add.op), (s.mul.op, t.mul.op))) is not None:
             raise InternalInvariantBroken("assembled isomorphism fails on a pair")
         return IsomorphismWitness(

@@ -369,7 +369,8 @@ class IdealEnumeration:
 def enumerate_ideals(s: DualWeakBrace, mode: str = "auto") -> IdealEnumeration:
     """All two-sided ideals.
 
-    exhaustive: test every subset containing E(S) (order <= 16 by default).
+    exhaustive: test every subset containing E(S); above EXHAUSTIVE_BOUND
+    (16) it raises OrderTooLarge, and auto picks closure there.
     closure: principal ideal closures plus pairwise sums; complete because
     every ideal is the join of the principal ideals of its elements.
     """
@@ -379,6 +380,8 @@ def enumerate_ideals(s: DualWeakBrace, mode: str = "auto") -> IdealEnumeration:
     if mode == "auto":
         mode = "exhaustive" if s.order <= EXHAUSTIVE_BOUND else "closure"
     if mode == "exhaustive":
+        if s.order > EXHAUSTIVE_BOUND:
+            raise OrderTooLarge(f"order {s.order} exceeds exhaustive bound {EXHAUSTIVE_BOUND}")
         rest = [a for a in range(s.order) if a not in s.idempotents]
         base = frozenset(s.idempotents)
         found = []

@@ -277,7 +277,11 @@ def _close(op, seed, extra=None) -> frozenset:
 
 
 def generating_set(g: FiniteGroupTable) -> list[int]:
-    """Greedy generating set: repeatedly adjoin the least element not yet reached."""
+    """Greedy generating set: repeatedly adjoin the least element not yet reached.
+
+    Each gens[i] is the least element outside <gens[:i]>, so every element
+    below gens[i] lies in <gens[:i]>; the hom search relies on this.
+    """
     gens: list[int] = []
     reach = {g.identity}
     while len(reach) < g.order:
@@ -287,44 +291,73 @@ def generating_set(g: FiniteGroupTable) -> list[int]:
     return gens
 
 
+def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool = False):
+    """Yield the homomorphisms a -> b as image tuples, in lexicographic order.
+
+    Backtracks over the images of generating_set(a), trying each image in
+    increasing order.  The partial map lives on H = <gens assigned so far>
+    and is extended only by right multiplication with those generators; it
+    survives exactly when it is a hom on H.  Every element below gens[i]
+    lies in <gens[:i]>, so the tuples come out in lexicographic order.
+    With injective, a partial map that repeats an image is dropped.
+    """
+    gens = generating_set(a)
+    aop, bop = a.op, b.op
+    f: list = [None] * a.order
+    f[a.identity] = b.identity
+    mapped = [a.identity]
+    used = [False] * b.order
+    used[b.identity] = True
+    imgs: list[int] = []
+
+    def extend(i: int) -> bool:
+        # assign gens[i] -> imgs[i]; close H along gens[:i+1]
+        g, y = gens[i], imgs[i]
+        steps = list(zip(gens[: i + 1], imgs))
+        stack = [(aop[z][g], bop[f[z]][y]) for z in mapped]
+        while stack:
+            x, w = stack.pop()
+            cur = f[x]
+            if cur is not None:
+                if cur != w:
+                    return False
+                continue
+            if injective:
+                if used[w]:
+                    return False
+                used[w] = True
+            f[x] = w
+            mapped.append(x)
+            row_a, row_b = aop[x], bop[w]
+            stack += [(row_a[h], row_b[v]) for h, v in steps]
+        return True
+
+    def search(i: int):
+        if i == len(gens):
+            hom = tuple(f)
+            bad = _first_non_hom(hom, ((aop, bop),))
+            if bad is not None:
+                raise InternalInvariantBroken(f"hom closure produced a non-hom at {bad[:2]}")
+            yield hom
+            return
+        mark = len(mapped)
+        for y in range(b.order):
+            imgs.append(y)
+            if extend(i):
+                yield from search(i + 1)
+            for x in mapped[mark:]:
+                used[f[x]] = False
+                f[x] = None
+            del mapped[mark:]
+            imgs.pop()
+
+    yield from search(0)
+
+
 def enumerate_group_homs(a: FiniteGroupTable, b: FiniteGroupTable) -> list[tuple[int, ...]]:
     """All homomorphisms a -> b, as image tuples, sorted lexicographically.
 
-    Backtracks over images of a generating set, extending each partial
-    assignment through product closure and pruning on conflict.
+    The whole search runs; the order comes from the search itself (see
+    _iter_group_homs).
     """
-    gens = generating_set(a)
-    found: list[tuple[int, ...]] = []
-
-    def extend(partial: dict[int, int], x0: int, y0: int) -> dict[int, int] | None:
-        fmap = dict(partial)
-        stack = [(x0, y0)]
-        while stack:
-            x, y = stack.pop()
-            cur = fmap.get(x)
-            if cur is not None:
-                if cur != y:
-                    return None
-                continue
-            fmap[x] = y
-            for z, w in list(fmap.items()):
-                stack.append((a.op[x][z], b.op[y][w]))
-                stack.append((a.op[z][x], b.op[w][y]))
-        return fmap
-
-    def backtrack(i: int, partial: dict[int, int]) -> None:
-        if i == len(gens):
-            found.append(tuple(partial[x] for x in range(a.order)))
-            return
-        for img in range(b.order):
-            ext = extend(partial, gens[i], img)
-            if ext is not None:
-                backtrack(i + 1, ext)
-
-    backtrack(0, {a.identity: b.identity})
-    for f in found:
-        bad = _first_non_hom(f, ((a.op, b.op),))
-        if bad is not None:
-            raise InternalInvariantBroken(f"hom closure produced a non-hom at {bad[:2]}")
-    found.sort()
-    return found
+    return list(_iter_group_homs(a, b))

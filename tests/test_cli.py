@@ -1,6 +1,7 @@
 """Command line surface: output lines, exit codes, JSON mode."""
 
 import json
+import time
 
 import pytest
 
@@ -253,6 +254,22 @@ def test_bad_max_order_is_a_usage_error(capsys, monkeypatch):
     code, out, err = run(capsys, "ideals", "--catalog", "z6_exotic")
     assert code == 2 and out == []
     assert "WBK_MAX_ORDER" in err and "Traceback" not in err
+
+
+def test_exhaustive_ideals_above_bound_is_a_usage_error(capsys, tmp_path):
+    # order-24 exotic Z24, a*b = a + (-1)^a b: the 2^23-subset sweep used to
+    # run for most of a minute before answering
+    n = 24
+    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul = [[(a + (-1) ** a * b) % n for b in range(n)] for a in range(n)]
+    path = write_json(tmp_path, {"kind": "skew_brace", "order": n, "add": add, "mul": mul})
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "ideals", "--input", path, "--mode", "exhaustive")
+    assert time.monotonic() - t0 < 5.0
+    assert code == 2 and out == []
+    assert "exhaustive bound 16" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "ideals", "--input", path)
+    assert code == 0 and out[0] == "mode: closure"
 
 
 def test_malformed_shapes_are_parse_errors(capsys, tmp_path):

@@ -1,5 +1,8 @@
 """Strong semilattice gluing, decomposition, homs, and isomorphism search."""
 
+import itertools
+import random
+
 import pytest
 
 import wbk
@@ -145,3 +148,105 @@ def test_are_isomorphic_identity(all_structures):
     for name, s in all_structures:
         wit = wbk.are_isomorphic(s, s)
         assert wit is not None, name
+
+
+def exotic(n):
+    """The skew brace on Z_n with a*b = a + (-1)^a b (n even)."""
+    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul = [[(a + (-1) ** a * b) % n for b in range(n)] for a in range(n)]
+    return wbk.validate_skew_brace(add, mul)
+
+
+def carries_both_tables(s, t, g):
+    return all(
+        g[s.plus(a, b)] == t.plus(g[a], g[b]) and g[s.times(a, b)] == t.times(g[a], g[b])
+        for a in range(s.order)
+        for b in range(s.order)
+    )
+
+
+def reference_witness(s, t):
+    """The first isomorphism in canonical order, by plain search: eta in
+    lexicographic order, then every tuple of component bijections taken
+    from enumerate_skew_brace_homs, in product order, until the assembled
+    map carries both tables."""
+    ds, dt = wbk.decompose(s), wbk.decompose(t)
+    k = ds.y.size
+    ms, mt = s.component_members(), t.component_members()
+    for eta in itertools.permutations(range(k)):
+        if any(
+            eta[ds.y.meet[i][j]] != dt.y.meet[eta[i]][eta[j]] for i in range(k) for j in range(k)
+        ):
+            continue
+        if any(ds.braces[i].order != dt.braces[eta[i]].order for i in range(k)):
+            continue
+        bijections = [
+            [
+                f
+                for f in wbk.enumerate_skew_brace_homs(ds.braces[i], dt.braces[eta[i]])
+                if len(set(f)) == len(f)
+            ]
+            for i in range(k)
+        ]
+        for thetas in itertools.product(*bijections):
+            g = [0] * s.order
+            for i in range(k):
+                for x, a in enumerate(ms[i]):
+                    g[a] = mt[eta[i]][thetas[i][x]]
+            if carries_both_tables(s, t, g):
+                return eta, thetas, tuple(g)
+    return None
+
+
+def non_chain():
+    # two incomparable tops 0 and 1 over a bottom 2, so eta may swap them
+    y = [[0, 2, 2], [2, 1, 2], [2, 2, 2]]
+    c2, c4 = wbk.catalog_get("c2_trivial"), wbk.catalog_get("c4_trivial")
+    return wbk.compose(wbk.validate_spec(y, [c2, c2, c4], {(0, 2): (0, 2), (1, 2): (0, 2)}))
+
+
+def z6_over_c6():
+    z6, c6 = wbk.catalog_get("z6_exotic"), wbk.catalog_get("c6_trivial")
+    return wbk.compose(wbk.validate_spec(CHAIN2, [z6, c6], {(0, 1): (0, 3, 0, 3, 0, 3)}))
+
+
+def assert_reference_witness(s, perm):
+    t = wbk.relabel(s, perm)
+    wit = wbk.are_isomorphic(s, t)
+    assert wit is not None
+    assert carries_both_tables(s, t, wit.global_map)
+    assert (wit.eta, wit.thetas, wit.global_map) == reference_witness(s, t)
+
+
+def test_are_isomorphic_returns_the_reference_witness(all_structures, c3_sym3):
+    rng = random.Random(5)
+    cases = [s for _, s in all_structures]
+    cases += [exotic(n).as_dual() for n in range(8, 25, 2)]
+    cases += [c3_sym3, z6_over_c6(), non_chain()]
+    swapped = 0
+    for s in cases:
+        for _ in range(2):
+            perm = list(range(s.order))
+            rng.shuffle(perm)
+            assert_reference_witness(s, perm)
+            swapped += wbk.are_isomorphic(s, wbk.relabel(s, perm)).eta[:2] == (1, 0)
+    # the non-chain structure must need the second eta at least once
+    assert swapped > 0
+
+
+def test_are_isomorphic_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cases = [b.as_dual() for _, b in wbk.catalog_braces()]
+    cases += [exotic(n).as_dual() for n in range(2, 17, 2)]
+
+    relabelled = st.sampled_from(cases).flatmap(
+        lambda s: st.tuples(st.just(s), st.permutations(range(s.order)))
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(relabelled)
+    def check(case):
+        assert_reference_witness(*case)
+
+    check()

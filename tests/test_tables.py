@@ -8,14 +8,20 @@ from wbk import (
     ValidationError,
     catalog_get,
     catalog_list,
+    catalog_structures,
     clifford_of_group,
+    decompose,
     enumerate_group_homs,
+    enumerate_skew_brace_homs,
     generating_set,
+    relabel,
     validate_clifford,
     validate_group,
     validate_semilattice,
+    validate_skew_brace,
 )
-from wbk.tables import _first_non_hom
+from wbk.compose import _brace_homs
+from wbk.tables import _first_non_hom, _iter_group_homs
 
 # order-5 loop: Latin, identity 0, every element self-inverse, not associative
 LOOP5 = [
@@ -129,6 +135,104 @@ def test_generating_set():
                     frontier.append(y)
     assert got == set(range(6))
     assert generating_set(catalog_get("c6")) == [1]
+
+
+def _relabel_group(g, perm):
+    op = [[None] * g.order for _ in range(g.order)]
+    for a in range(g.order):
+        for b in range(g.order):
+            op[perm[a]][perm[b]] = perm[g.op[a][b]]
+    return validate_group(op)
+
+
+def _catalog_groups():
+    """Every group in the catalog: the groups, and both sides of every
+    skew brace and of every component of a composed structure."""
+    out = [catalog_get(name) for name, kind, _ in catalog_list() if kind == "group"]
+    for _, s in catalog_structures():
+        if s.is_skew():
+            out += [b for brace in decompose(s).braces for b in (brace.add, brace.mul)]
+    return out
+
+
+def _relabelled_groups(seed, count):
+    # seeded relabellings that move the identity off 0
+    rng = random.Random(seed)
+    out = []
+    for g in _catalog_groups():
+        for _ in range(count):
+            perm = list(range(g.order))
+            while perm[g.identity] == 0:
+                rng.shuffle(perm)
+            out.append(_relabel_group(g, perm))
+    return out
+
+
+def _subgroup(g, gens):
+    # right multiplication by the generators, from the identity
+    got, frontier = {g.identity}, [g.identity]
+    while frontier:
+        x = frontier.pop()
+        for h in gens:
+            y = g.op[x][h]
+            if y not in got:
+                got.add(y)
+                frontier.append(y)
+    return got
+
+
+def test_generating_set_is_greedy():
+    groups = _catalog_groups() + _relabelled_groups(1, 3)
+    assert any(g.identity != 0 for g in groups)
+    for g in groups:
+        gens = generating_set(g)
+        for i, x in enumerate(gens):
+            sub = _subgroup(g, gens[:i])
+            assert x not in sub
+            assert set(range(x)) <= sub, (g.op, gens, i)
+        assert _subgroup(g, gens) == set(range(g.order))
+
+
+def test_group_homs_come_out_in_order_after_relabelling():
+    plain, moved = _catalog_groups(), _relabelled_groups(2, 1)
+    for a, a2 in zip(plain, moved):
+        for b, b2 in zip(plain[::3], moved[::3]):
+            homs = enumerate_group_homs(a2, b2)
+            assert homs == sorted(set(homs))
+            assert len(homs) == len(enumerate_group_homs(a, b))
+
+
+def _exotic_and_cyclic(n):
+    # the braces a*b = a + (-1)^a b and a*b = a + b on Z_n
+    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul = [[(a + (-1) ** a * b) % n for b in range(n)] for a in range(n)]
+    return validate_skew_brace(add, mul), validate_skew_brace(add, add)
+
+
+def test_injective_search_is_the_filtered_full_search():
+    rng = random.Random(3)
+    braces = [catalog_get(name) for name, kind, _ in catalog_list() if kind == "skew_brace"]
+    pairs = [(a, b) for a in braces for b in braces]
+    for n in range(4, 13, 2):
+        ex, cyc = _exotic_and_cyclic(n)
+        for _ in range(6):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            moved = relabel(ex.as_dual(), perm)
+            moved = validate_skew_brace(moved.add.op, moved.mul.op)
+            pairs += [(ex, moved), (moved, ex), (moved, cyc), (cyc, moved)]
+    checked = 0
+    for a, b in pairs:
+        for src, dst in ((a.mul, b.mul), (a.add, b.add)):
+            full = enumerate_group_homs(src, dst)
+            want = [f for f in full if len(set(f)) == len(f)]
+            assert list(_iter_group_homs(src, dst, injective=True)) == want
+        full = enumerate_skew_brace_homs(a, b)
+        want = [f for f in full if len(set(f)) == len(f)]
+        got = list(_brace_homs(a, b, _iter_group_homs(a.mul, b.mul, injective=True)))
+        assert got == want
+        checked += bool(want)
+    assert checked > len(braces)
 
 
 def test_enumerate_group_homs_counts():
