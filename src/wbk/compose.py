@@ -111,7 +111,13 @@ def decompose(s: DualWeakBrace) -> StrongSemilatticeSpec:
 
 def _brace_homs(a: SkewBrace, b: SkewBrace, mul_homs):
     """The maps among mul_homs (homs a.mul -> b.mul) that also carry a.add
-    into b.add, lazily and in their order; the mul closure pins every value."""
+    into b.add, lazily and in their order; the mul closure pins every value.
+
+    When + is ∘ on both sides (every trivial brace) there is nothing to
+    filter: the hom search has already checked each map on that table pair.
+    """
+    if a.add.op == a.mul.op and b.add.op == b.mul.op:
+        return iter(mul_homs)
     adds = ((a.add.op, b.add.op),)
     return (f for f in mul_homs if _first_non_hom(f, adds) is None)
 

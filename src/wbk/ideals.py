@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 
 from .braces import DualWeakBrace, validate_dual_weak_brace
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .tables import _close, _first_non_hom, _induced
+from .tables import _close, _elements, _first_non_hom, _induced, _mask
 
 DEFAULT_MAX_ORDER = 24
 EXHAUSTIVE_BOUND = 16
@@ -196,7 +195,8 @@ def annihilator(s: DualWeakBrace) -> frozenset:
 def generated_full_inverse_subsemigroup(s: DualWeakBrace, seed) -> frozenset:
     """Least superset of seed and E(S) closed under + and additive inverse."""
     _check_members(s.order, seed)
-    return _close(s.add.op, set(seed) | set(s.idempotents), lambda v: (s.neg(v),))
+    negs = [1 << v for v in s.add.inv]
+    return frozenset(_elements(_close(s.add.op, _mask(seed) | _mask(s.idempotents), negs)))
 
 
 def product_set(s: DualWeakBrace, x, y) -> frozenset:
@@ -346,18 +346,38 @@ def first_isomorphism_check(s: DualWeakBrace, t: DualWeakBrace, f) -> bool:
     return _first_non_hom(induced, ((qs.add.op, t.add.op), (qs.mul.op, t.mul.op))) is None
 
 
+def _ideal_images(s: DualWeakBrace) -> list[int]:
+    """Per element i, the bitmask of -i and, over every a, of lam_a(i) and
+    the conjugates -a + i + a and a' * i * a."""
+    add, mul, neg, minv = s.add.op, s.mul.op, s.add.inv, s.mul.inv
+    out = []
+    for i in range(s.order):
+        m = 1 << neg[i]
+        for a in range(s.order):
+            left = add[neg[a]]
+            m |= 1 << left[mul[a][i]] | 1 << add[left[i]][a] | 1 << mul[mul[minv[a]][i]][a]
+        out.append(m)
+    return out
+
+
 def ideal_closure(s: DualWeakBrace, seed) -> frozenset:
     """Least ideal containing seed: close under +, -, lambda, and both
     conjugations simultaneously."""
     _check_members(s.order, seed)
+    least = _close(s.add.op, _mask(seed) | _mask(s.idempotents), _ideal_images(s))
+    return frozenset(_elements(least))
 
-    def images(i: int) -> list[int]:
-        out = [s.neg(i)]
-        for a in range(s.order):
-            out += (s.lam(a, i), s.plus(s.plus(s.neg(a), i), a), s.times(s.times(s.minv(a), i), a))
-        return out
 
-    return _close(s.add.op, set(seed) | set(s.idempotents), images)
+def _sum_mask(op, i: int, mem: list, j: list) -> int:
+    """I + J for ideals I (mask i, members mem) and J (members j), as a
+    bitmask.  I + I = I and b lies in I + b, so once b is in I + b0, all of
+    I + b is too: the sum starts at I and adds the cosets I + b not in it."""
+    out = i
+    for b in j:
+        if not out >> b & 1:
+            for a in mem:
+                out |= 1 << op[a][b]
+    return out
 
 
 @dataclass(frozen=True)
@@ -367,44 +387,68 @@ class IdealEnumeration:
 
 
 def enumerate_ideals(s: DualWeakBrace, mode: str = "auto") -> IdealEnumeration:
-    """All two-sided ideals.
+    """All two-sided ideals, as frozensets listed by size, then members.
 
-    exhaustive: test every subset containing E(S); above EXHAUSTIVE_BOUND
-    (16) it raises OrderTooLarge, and auto picks closure there.
-    closure: principal ideal closures plus pairwise sums; complete because
-    every ideal is the join of the principal ideals of its elements.
+    Both modes run on bitmasks and share one closure, under +, -, lambda
+    and both conjugations: images the ideal laws require.
+    exhaustive decides every subset containing E(S), pruning a branch once
+    a law fails: a depth-first search over the elements in index order in
+    which including x replaces the included set by its closure with x, and
+    a closure that takes in an excluded element cuts the branch.  Only
+    leaves that pass the full ideal test are listed.  Above
+    EXHAUSTIVE_BOUND (16) it raises OrderTooLarge; auto picks closure there.
+    closure takes joins of principal ideals: a breadth-first search from
+    the least ideal that adds I + P_x for each ideal I found and each x not
+    in I, P_x the principal ideal of x.  Every ideal is the join of the
+    principal ideals of its elements; each result is checked to be one.
     """
     bound = max_order()
     if s.order > bound:
         raise OrderTooLarge(f"order {s.order} exceeds bound {bound}")
     if mode == "auto":
         mode = "exhaustive" if s.order <= EXHAUSTIVE_BOUND else "closure"
-    if mode == "exhaustive":
-        if s.order > EXHAUSTIVE_BOUND:
-            raise OrderTooLarge(f"order {s.order} exceeds exhaustive bound {EXHAUSTIVE_BOUND}")
-        rest = [a for a in range(s.order) if a not in s.idempotents]
-        base = frozenset(s.idempotents)
-        found = []
-        for bits in range(1 << len(rest)):
-            x = base | {rest[k] for k in range(len(rest)) if bits >> k & 1}
-            if _first_failure(s, x, _IDEAL)[0] is None:
-                found.append(x)
-    elif mode == "closure":
-        seen = {ideal_closure(s, {a}) for a in range(s.order)}
-        while True:
-            fresh = {
-                frozenset(s.plus(a, b) for a in i for b in j)
-                for i, j in combinations(seen, 2)
-            } - seen
-            if not fresh:
-                break
-            seen |= fresh
-        for x in seen:
-            if _first_failure(s, x, _IDEAL)[0] is not None:
-                raise InternalInvariantBroken("closure-seeded candidate is not an ideal")
-        found = list(seen)
-    else:
+    if mode not in ("exhaustive", "closure"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exhaustive" and s.order > EXHAUSTIVE_BOUND:
+        raise OrderTooLarge(f"order {s.order} exceeds exhaustive bound {EXHAUSTIVE_BOUND}")
+    n, add = s.order, s.add.op
+    images = _ideal_images(s)
+    least = _close(add, _mask(s.idempotents), images)
+    if mode == "exhaustive":
+        masks = []
+
+        def search(x: int, inc: int, exc: int) -> None:
+            # inc is closed; decide the elements x, x+1, ... not in inc
+            while x < n and inc >> x & 1:
+                x += 1
+            if x == n:
+                masks.append(inc)
+                return
+            nxt = _close(add, inc | 1 << x, images, inc)
+            if not nxt & exc:
+                search(x + 1, nxt, exc)
+            search(x + 1, inc, exc | 1 << x)
+
+        search(0, least, 0)
+    else:
+        principal = {_close(add, least | 1 << x, images, least) for x in range(n)}
+        principal = [(p, _elements(p)) for p in principal]
+        masks, seen = [least], {least}
+        for i in masks:
+            mem = _elements(i)
+            for p, pmem in principal:
+                if p & ~i:
+                    j = _sum_mask(add, i, mem, pmem)
+                    if j not in seen:
+                        seen.add(j)
+                        masks.append(j)
+    found = []
+    for mask in masks:
+        ideal = frozenset(_elements(mask))
+        if _first_failure(s, ideal, _IDEAL)[0] is None:
+            found.append(ideal)
+        elif mode == "closure":
+            raise InternalInvariantBroken("closure-seeded candidate is not an ideal")
     found.sort(key=lambda x: (len(x), sorted(x)))
     return IdealEnumeration(tuple(found), mode)
 

@@ -258,22 +258,39 @@ def clifford_of_group(g: FiniteGroupTable) -> CliffordTable:
     return CliffordTable(g.order, g.op, g.inv, (g.identity,))
 
 
-def _close(op, seed, extra=None) -> frozenset:
-    """Least superset of seed closed under op in both orders and, when given,
-    under extra: each member x also brings in every element extra(x) yields."""
-    members = set(seed)
-    work = list(members)
+def _mask(elems) -> int:
+    """The bitmask of a set of element indices."""
+    return sum(1 << a for a in set(elems))
+
+
+def _elements(mask: int) -> list[int]:
+    """The element indices of a bitmask, in increasing order."""
+    return [a for a, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _close(op, seed: int, unary=None, done: int = 0) -> int:
+    """Least superset of the bitmask seed closed under op in both orders and,
+    when given, under unary: unary[x] is the bitmask of x's unary images.
+
+    done is a part of seed that is already closed; only the rest of seed
+    needs a visit.
+    """
+    members = seed
+    mem = _elements(seed)
+    work = _elements(seed & ~done)
     while work:
         x = work.pop()
-        new = [op[x][y] for y in members]
-        new += [op[y][x] for y in members]
-        if extra is not None:
-            new += extra(x)
-        for z in new:
-            if z not in members:
-                members.add(z)
-                work.append(z)
-    return frozenset(members)
+        row = op[x]
+        new = 0 if unary is None else unary[x]
+        for y in mem:
+            new |= 1 << row[y] | 1 << op[y][x]
+        new &= ~members
+        if new:
+            members |= new
+            fresh = _elements(new)
+            mem += fresh
+            work += fresh
+    return members
 
 
 def generating_set(g: FiniteGroupTable) -> list[int]:
@@ -283,11 +300,11 @@ def generating_set(g: FiniteGroupTable) -> list[int]:
     below gens[i] lies in <gens[:i]>; the hom search relies on this.
     """
     gens: list[int] = []
-    reach = {g.identity}
-    while len(reach) < g.order:
-        x = min(a for a in range(g.order) if a not in reach)
+    reach = 1 << g.identity
+    while reach != (1 << g.order) - 1:
+        x = (~reach & (reach + 1)).bit_length() - 1  # least bit not set
         gens.append(x)
-        reach = _close(g.op, reach | {x})
+        reach = _close(g.op, reach | 1 << x, done=reach)
     return gens
 
 

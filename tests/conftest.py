@@ -27,3 +27,30 @@ def c2_c4():
 def all_structures():
     """Every catalog entry as a dual weak brace, specs composed."""
     return wbk.catalog_structures()
+
+
+def exotic(n):
+    """The skew brace on Z_n with a*b = a + (-1)^a b (n even)."""
+    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul = [[(a + (-1) ** a * b) % n for b in range(n)] for a in range(n)]
+    return wbk.validate_skew_brace(add, mul)
+
+
+def exotic_chain(orders):
+    """Exotic Z_o components on a chain, 0 on top, joined by x -> x mod o;
+    each order must divide the one above it."""
+    k = len(orders)
+    y = [[max(a, b) for b in range(k)] for a in range(k)]
+    homs = {
+        (a, b): tuple(x % orders[b] for x in range(orders[a]))
+        for a in range(k)
+        for b in range(a + 1, k)
+    }
+    return wbk.compose(wbk.validate_spec(y, [exotic(o) for o in orders], homs))
+
+
+def non_chain():
+    # two incomparable tops 0 and 1 over a bottom 2, so eta may swap them
+    y = [[0, 2, 2], [2, 1, 2], [2, 2, 2]]
+    c2, c4 = wbk.catalog_get("c2_trivial"), wbk.catalog_get("c4_trivial")
+    return wbk.compose(wbk.validate_spec(y, [c2, c2, c4], {(0, 2): (0, 2), (1, 2): (0, 2)}))

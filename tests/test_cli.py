@@ -281,3 +281,31 @@ def test_malformed_shapes_are_parse_errors(capsys, tmp_path):
         code, out, err = run(capsys, "validate", "--input", path)
         assert code == 2 and out == [] and err.startswith("error: "), obj
 
+
+def test_closure_ideals_count_the_subgroups_of_elementary_abelian_groups(
+    capsys, monkeypatch, tmp_path
+):
+    # (Z2)^k as a trivial brace: its ideals are its subgroups, counted by the
+    # Gaussian binomials [k, d]_2 summed over the dimension d
+    monkeypatch.setenv("WBK_MAX_ORDER", "64")
+    for k, want in ((4, 67), (5, 374), (6, 2825)):
+        count = 0
+        for d in range(k + 1):
+            num = den = 1
+            for i in range(d):
+                num *= 2 ** k - 2 ** i
+                den *= 2 ** d - 2 ** i
+            count += num // den
+        assert count == want
+        n = 1 << k
+        table = [[a ^ b for b in range(n)] for a in range(n)]
+        path = write_json(tmp_path, {"kind": "skew_brace", "order": n, "add": table, "mul": table})
+        code, out, err = run(capsys, "ideals", "--input", path, "--mode", "closure", "--format", "json")
+        assert code == 0 and err == ""
+        rep = json.loads("\n".join(out))
+        listed = rep["witnesses"][0]
+        assert rep["lines"][:2] == ["mode: closure", f"count: {want}"]
+        assert len(rep["lines"]) - 2 == len(listed) == len({tuple(x) for x in listed}) == want
+        for x in listed:
+            members = set(x)
+            assert 0 in members and all(a ^ b in members for a in x for b in x), (k, x)

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from conftest import exotic, non_chain
 
 import wbk
 from wbk import ValidationError
@@ -150,13 +151,6 @@ def test_are_isomorphic_identity(all_structures):
         assert wit is not None, name
 
 
-def exotic(n):
-    """The skew brace on Z_n with a*b = a + (-1)^a b (n even)."""
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    mul = [[(a + (-1) ** a * b) % n for b in range(n)] for a in range(n)]
-    return wbk.validate_skew_brace(add, mul)
-
-
 def carries_both_tables(s, t, g):
     return all(
         g[s.plus(a, b)] == t.plus(g[a], g[b]) and g[s.times(a, b)] == t.times(g[a], g[b])
@@ -196,13 +190,6 @@ def reference_witness(s, t):
             if carries_both_tables(s, t, g):
                 return eta, thetas, tuple(g)
     return None
-
-
-def non_chain():
-    # two incomparable tops 0 and 1 over a bottom 2, so eta may swap them
-    y = [[0, 2, 2], [2, 1, 2], [2, 2, 2]]
-    c2, c4 = wbk.catalog_get("c2_trivial"), wbk.catalog_get("c4_trivial")
-    return wbk.compose(wbk.validate_spec(y, [c2, c2, c4], {(0, 2): (0, 2), (1, 2): (0, 2)}))
 
 
 def z6_over_c6():

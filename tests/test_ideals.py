@@ -1,6 +1,9 @@
 """Ideal predicates, special subsets, quotients, and the hom theorems."""
 
+import itertools
+
 import pytest
+from conftest import exotic, exotic_chain, non_chain
 
 import wbk
 from wbk import NotAHom, NotAnIdeal, OrderTooLarge
@@ -220,6 +223,71 @@ def test_generated_full_inverse_subsemigroup_matches_subset_oracle(all_structure
         for seed in seeds:
             got = wbk.generated_full_inverse_subsemigroup(s, seed)
             assert got == _least_passing(subs, seed), (name, seed)
+
+
+def _by_size(ideals):
+    """The order enumerate_ideals lists ideals in."""
+    return tuple(sorted(ideals, key=lambda x: (len(x), sorted(x))))
+
+
+def _trivial(table):
+    return wbk.validate_skew_brace(table, table).as_dual()
+
+
+def _cyclic(n):
+    return _trivial([[(a + b) % n for b in range(n)] for a in range(n)])
+
+
+def _elementary(k):
+    return _trivial([[a ^ b for b in range(1 << k)] for a in range(1 << k)])
+
+
+def _divisor_chains(total):
+    """Every chain of even orders, each dividing the one above, with at least
+    two components and at most total elements."""
+    chains, grow = [], [(o,) for o in range(2, total + 1, 2)]
+    while grow:
+        c = grow.pop()
+        if len(c) > 1:
+            chains.append(c)
+        grow += [c + (o,) for o in range(2, c[-1] + 1, 2) if c[-1] % o == 0 and sum(c) + o <= total]
+    return sorted(chains)
+
+
+def test_enumerate_ideals_matches_subset_oracle(all_structures):
+    cases = list(all_structures)
+    cases += [(name + " opposite", s.opposite()) for name, s in all_structures]
+    cases += [(f"exotic Z{n}", exotic(n).as_dual()) for n in range(2, 13, 2)]
+    cases += [(f"Z{n}", _cyclic(n)) for n in range(1, 13)]
+    cases += [(f"chain {c}", exotic_chain(c)) for c in _divisor_chains(12)]
+    cases += [("(Z2)^3", _elementary(3)), ("(Z2)^4", _elementary(4))]
+    cases += [("exotic Z16", exotic(16).as_dual())]
+    for name, s in cases:
+        want = _by_size(_passing_supersets(s, wbk.is_ideal))
+        for mode in ("exhaustive", "closure"):
+            assert wbk.enumerate_ideals(s, mode).ideals == want, (name, mode)
+
+
+def _ideals_from_components(s):
+    """The paper's description of the ideals of S = [Y; B_alpha; phi]: the
+    unions of ideals I_alpha of the B_alpha with phi_{alpha,beta}(I_alpha)
+    inside I_beta for every alpha >= beta; component ideals by brute force."""
+    spec = wbk.decompose(s)
+    members = s.component_members()
+    local = [_passing_supersets(b.as_dual(), wbk.is_ideal) for b in spec.braces]
+    out = []
+    for parts in itertools.product(*local):
+        if all({spec.hom(a, b)[i] for i in parts[a]} <= parts[b] for a, b in spec.y.comparable_pairs()):
+            out.append(frozenset(members[a][i] for a, part in enumerate(parts) for i in part))
+    return _by_size(out)
+
+
+def test_ideals_are_unions_of_compatible_component_ideals(c3_sym3, c2_c4):
+    cases = [("c3_sym3", c3_sym3), ("c2_c4_braces", c2_c4), ("non-chain", non_chain())]
+    cases += [(f"chain {c}", exotic_chain(c)) for c in ((6, 2, 2), (12, 6, 2), (8, 4, 4, 2))]
+    for name, s in cases:
+        assert len(s.idempotents) > 1, name
+        assert wbk.enumerate_ideals(s).ideals == _ideals_from_components(s), name
 
 
 def _reference_laws(s, x):
