@@ -10,13 +10,15 @@ together.  Derived maps (lam, rho, dot, commutators) live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import InternalInvariantBroken, ValidationError
 from .tables import (
     CliffordTable,
     FiniteGroupTable,
     SemilatticeTable,
+    _first_row_failure,
+    _gather,
+    _generators,
     _induced,
     clifford_of_group,
     validate_clifford,
@@ -126,12 +128,25 @@ class DualWeakBrace:
 
 
 def _check_compatibility(add: CliffordTable, mul: CliffordTable) -> None:
-    n = add.order
-    for a, b, c in product(range(n), repeat=3):
-        lhs = mul.op[a][add.op[b][c]]
-        rhs = add.op[add.op[mul.op[a][b]][add.inv[a]]][mul.op[a][c]]
-        if lhs != rhs:
-            raise ValidationError("compatibility", (a, b, c))
+    """Raise at the least (a, b, c) with a*(b+c) != a*b - a + a*c.
+
+    + is associative here (both validators check it first), and then
+    Q = {b : a*(b+c) = a*b - a + a*c for all a, c} is closed under +: for
+    b, b' in Q, a*((b+b')+c) = a*(b+(b'+c)) = a*b - a + a*b' - a + a*c
+    = a*(b+b') - a + a*c.  So Q is everything once it holds a generating
+    set of (S, +).
+    """
+    aop, mop, neg = add.op, mul.op, add.inv
+    gather_add = [_gather(row) for row in aop]
+    gather_mul = [_gather(row) for row in mop]
+
+    def rows(a: int, b: int) -> tuple:
+        # c -> a*(b+c) and c -> (a*b - a) + a*c
+        return gather_add[b](mop[a]), gather_mul[a](aop[aop[mop[a][b]][neg[a]]])
+
+    bad = _first_row_failure(add.order, _generators(aop), rows)
+    if bad is not None:
+        raise ValidationError("compatibility", bad)
 
 
 def _validate_sides(validate, add_raw, mul_raw) -> tuple:

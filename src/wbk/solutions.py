@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import getitem
 
 from .braces import DualWeakBrace
 from .errors import NoPeriod, ValidationError
-from .tables import SemilatticeTable, _glue, _validate_hom_system
+from .tables import SemilatticeTable, _gather, _glue, _validate_hom_system
 
 
 @dataclass(frozen=True)
@@ -45,20 +46,30 @@ def compose_solutions(r2: SolutionTable, r1: SolutionTable) -> SolutionTable:
 
 
 def check_braid(r: SolutionTable) -> tuple[int, int, int] | None:
-    """First triple violating the braid identity, or None when it holds."""
+    """Least triple violating the braid identity, or None when it holds.
 
-    def r12(t):
-        u, v = r.pairs[t[0]][t[1]]
-        return (u, v, t[2])
-
-    def r23(t):
-        u, v = r.pairs[t[1]][t[2]]
-        return (t[0], u, v)
-
-    for a, b, c in product(range(r.order), repeat=3):
-        t = (a, b, c)
-        if r12(r23(r12(t))) != r23(r12(r23(t))):
-            return t
+    r12 r23 r12 = r23 r12 r23 is compared on all n^3 triples, one row over c
+    per (a, b) in lexicographic order.  With r(x, y) = (L[x][y], R[x][y])
+    and (u, v) = r(a, b), the left side at (a, b, c) is
+    (L[u][L[v][c]], R[u][L[v][c]], R[v][c]) and the right side, with
+    q = R[a][L[b][c]], is (L[a][L[b][c]], L[q][R[b][c]], R[q][R[b][c]]).
+    """
+    n = r.order
+    lam = [tuple(u for u, _ in row) for row in r.pairs]
+    rho = [tuple(v for _, v in row) for row in r.pairs]
+    after = [_gather(row) for row in lam]  # after[y](f) = c -> f[L[y][c]]
+    for a, b in product(range(n), repeat=2):
+        u, v = r.pairs[a][b]
+        q = _gather(after[b](rho[a]))  # q(rows) = c -> rows[R[a][L[b][c]]]
+        lhs = (after[v](lam[u]), after[v](rho[u]), rho[v])
+        rhs = (
+            after[b](lam[a]),
+            tuple(map(getitem, q(lam), rho[b])),
+            tuple(map(getitem, q(rho), rho[b])),
+        )
+        if lhs != rhs:
+            c = next(c for c in range(n) if [x[c] for x in lhs] != [y[c] for y in rhs])
+            return (a, b, c)
     return None
 
 

@@ -8,7 +8,8 @@ axiom with the lexicographically smallest witness tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, starmap
+from operator import itemgetter
 
 from .errors import InternalInvariantBroken, ValidationError
 
@@ -30,12 +31,42 @@ def _frozen_table(raw) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _first_nonassoc(op) -> tuple[int, int, int] | None:
-    n = len(op)
-    for a, b, c in product(range(n), repeat=3):
-        if op[op[a][b]][c] != op[a][op[b][c]]:
-            return (a, b, c)
+def _gather(idx):
+    """The map row -> tuple(row[i] for i in idx), one C call for two or more i."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda row: tuple(row[i] for i in idx)
+
+
+def _first_row_failure(n: int, gens, rows) -> tuple[int, int, int] | None:
+    """Least (a, b, c) with lhs[c] != rhs[c], (lhs, rhs) = rows(a, b), or None.
+
+    rows(a, b) gives both sides of a law in three variables as rows over c.
+    The caller proves that the law holds for every b once it holds for every
+    b in gens, so comparing those rows decides it.  Only when one of them
+    fails is every (a, b) scanned, in lexicographic order, for the least
+    witness.
+    """
+    if all(lhs == rhs for lhs, rhs in starmap(rows, product(range(n), gens))):
+        return None
+    for a, b in product(range(n), repeat=2):
+        lhs, rhs = rows(a, b)
+        if lhs != rhs:
+            return (a, b, next(c for c in range(n) if lhs[c] != rhs[c]))
     return None
+
+
+def _first_nonassoc(op) -> tuple[int, int, int] | None:
+    """Least (a, b, c) with (ab)c != a(bc), or None (Light's test).
+
+    K = {b : (ab)c = a(bc) for all a, c} is closed under op: for b, b' in K,
+    (a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c)) = a((bb')c).  So K is the
+    whole table once it holds a generating set of (S, op).
+    """
+    gather = [_gather(row) for row in op]
+    return _first_row_failure(
+        len(op), _generators(op), lambda a, b: (op[op[a][b]], gather[b](op[a]))
+    )
 
 
 @dataclass(frozen=True)
@@ -293,19 +324,28 @@ def _close(op, seed: int, unary=None, done: int = 0) -> int:
     return members
 
 
-def generating_set(g: FiniteGroupTable) -> list[int]:
-    """Greedy generating set: repeatedly adjoin the least element not yet reached.
+def _generators(op, reach: int = 0) -> list[int]:
+    """Greedy generators of the table op over the closed bitmask reach:
+    repeatedly adjoin the least element not yet reached.
 
-    Each gens[i] is the least element outside <gens[:i]>, so every element
-    below gens[i] lies in <gens[:i]>; the hom search relies on this.
+    Each gens[i] is the least element outside the closure of reach and
+    gens[:i], so every element below gens[i] lies in that closure.
     """
     gens: list[int] = []
-    reach = 1 << g.identity
-    while reach != (1 << g.order) - 1:
+    while reach != (1 << len(op)) - 1:
         x = (~reach & (reach + 1)).bit_length() - 1  # least bit not set
         gens.append(x)
-        reach = _close(g.op, reach | 1 << x, done=reach)
+        reach = _close(op, reach | 1 << x, done=reach)
     return gens
+
+
+def generating_set(g: FiniteGroupTable) -> list[int]:
+    """Greedy generating set of a group over its identity (see _generators).
+
+    Every element below gens[i] lies in <gens[:i]>; the hom search relies
+    on this.
+    """
+    return _generators(g.op, 1 << g.identity)
 
 
 def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool = False):

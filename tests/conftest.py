@@ -4,6 +4,14 @@ import pytest
 
 import wbk
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    settings.register_profile("wbk", derandomize=True, deadline=None, max_examples=60)
+    settings.load_profile("wbk")
+
 # session start, read by the wall-clock budget test that runs last
 SESSION_T0 = time.monotonic()
 
@@ -36,7 +44,7 @@ def exotic(n):
     return wbk.validate_skew_brace(add, mul)
 
 
-def exotic_chain(orders):
+def exotic_chain_spec(orders):
     """Exotic Z_o components on a chain, 0 on top, joined by x -> x mod o;
     each order must divide the one above it."""
     k = len(orders)
@@ -46,7 +54,21 @@ def exotic_chain(orders):
         for a in range(k)
         for b in range(a + 1, k)
     }
-    return wbk.compose(wbk.validate_spec(y, [exotic(o) for o in orders], homs))
+    return wbk.validate_spec(y, [exotic(o) for o in orders], homs)
+
+
+def exotic_chain(orders):
+    """The dual weak brace composed from exotic_chain_spec(orders)."""
+    return wbk.compose(exotic_chain_spec(orders))
+
+
+def relabelled_table(table, perm):
+    """The table transported along perm: entry (perm[a], perm[b]) is perm[a·b]."""
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            out[perm[a]][perm[b]] = perm[v]
+    return out
 
 
 def non_chain():

@@ -4,9 +4,11 @@ import json
 import time
 
 import pytest
+from conftest import exotic, exotic_chain_spec, relabelled_table
 
-from wbk import catalog_get, to_obj
+from wbk import catalog_get, compose, enumerate_ideals, load, solution_of, to_obj
 from wbk.cli import main
+from wbk.ideals import _tier
 
 BRAID_BROKEN = {
     "kind": "solution",
@@ -131,6 +133,20 @@ def test_ideals_listing(capsys):
     assert code == 0
     assert out[:2] == ["mode: exhaustive", "count: 3"]
     assert out[2:5] == ["{0} I", "{0, 2, 4} I", "{0, 1, 2, 3, 4, 5} I"]
+
+
+def test_ideals_tier_column_on_z2_4(capsys, tmp_path):
+    # every enumerated ideal has passed the whole law ladder, so the column
+    # reads I, which is also what _tier says of each of them
+    table = [[a ^ b for b in range(16)] for a in range(16)]
+    path = write_json(tmp_path, {"kind": "skew_brace", "order": 16, "add": table, "mul": table})
+    code, out, _ = run(capsys, "ideals", "--input", path)
+    assert code == 0 and out[:2] == ["mode: exhaustive", "count: 67"] and out[-1] == "status: pass"
+    rows = out[2:-1]
+    assert rows[:2] == ["{0} I", "{0, 1} I"] and len(rows) == 67
+    s = load(path).as_dual()
+    listed = enumerate_ideals(s).ideals
+    assert rows == [f"{{{', '.join(map(str, sorted(x)))}}} {_tier(s, x)}" for x in listed]
 
 
 def test_quotient_output(capsys):
@@ -309,3 +325,45 @@ def test_closure_ideals_count_the_subgroups_of_elementary_abelian_groups(
         for x in listed:
             members = set(x)
             assert 0 in members and all(a ^ b in members for a in x for b in x), (k, x)
+
+
+def _changed(obj, path, a, b, step):
+    """A copy of obj with entry (a, b) of the table at path moved by step."""
+    obj = json.loads(json.dumps(obj))
+    table = obj
+    for key in path:
+        table = table[key]
+    table[a][b] = (table[a][b] + step) % len(table)
+    return obj
+
+
+def test_violation_and_braid_fail_lines_are_pinned(capsys, tmp_path):
+    sb = to_obj(exotic(8))
+    spec = exotic_chain_spec((4, 2))
+    dwb, ss = to_obj(compose(spec)), to_obj(spec)
+    sol = to_obj(solution_of(exotic(8).as_dual()))
+    sol["map"][2][5].reverse()
+    chain_sol = to_obj(solution_of(compose(spec)))
+    chain_sol["map"][4][1] = [0, 0]
+    cases = [
+        ("validate", _changed(sb, ["add"], 3, 5, 1), "violation: no_inverse side=add witness=(3,)"),
+        ("validate", _changed(sb, ["add"], 5, 6, 3), "violation: not_associative side=add witness=(1, 4, 6)"),
+        ("braid", _changed(sb, ["mul"], 3, 5, 1), "violation: not_associative side=mul witness=(1, 3, 5)"),
+        ("validate", dict(sb, mul=relabelled_table(sb["mul"], [0, 3, 7, 5, 4, 2, 6, 1])),
+         "violation: compatibility witness=(2, 1, 1)"),
+        ("validate", dict(sb, mul=relabelled_table(sb["mul"], [0, 4, 3, 5, 7, 2, 1, 6])),
+         "violation: compatibility witness=(1, 1, 2)"),
+        ("validate", _changed(dwb, ["add"], 3, 5, 1), "violation: not_associative side=add witness=(1, 2, 5)"),
+        ("period", _changed(dwb, ["mul"], 1, 3, 2), "violation: not_associative side=mul witness=(1, 1, 2)"),
+        ("validate", dict(dwb, mul=relabelled_table(dwb["mul"], [0, 1, 3, 2, 4, 5])),
+         "violation: compatibility witness=(2, 4, 4)"),
+        ("validate", _changed(ss, ["braces", "0", "add"], 2, 1, 1),
+         "violation: not_associative side=add witness=(1, 1, 1)"),
+        ("decompose", _changed(ss, ["braces", "0", "mul"], 1, 3, 2),
+         "violation: not_associative side=mul witness=(1, 1, 2)"),
+        ("braid", sol, "BRAID-FAIL 1 2 5"),
+        ("braid", chain_sol, "BRAID-FAIL 0 4 1"),
+    ]
+    for cmd, obj, line in cases:
+        code, out, _ = run(capsys, cmd, "--input", write_json(tmp_path, obj))
+        assert (code, out) == (1, [line, "status: fail"]), (cmd, line)

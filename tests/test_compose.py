@@ -231,7 +231,6 @@ def test_are_isomorphic_property():
         lambda s: st.tuples(st.just(s), st.permutations(range(s.order)))
     )
 
-    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
     @hypothesis.given(relabelled)
     def check(case):
         assert_reference_witness(*case)

@@ -1,0 +1,220 @@
+"""The three cubic law checks against per-triple brute-force oracles.
+
+Associativity (Light's test on a generating set), compatibility (on a
+generating set of (S, +)) and the braid check (one row over c per (a, b))
+must agree with a plain lexicographic scan of every triple: same verdict,
+law, witness and side.
+"""
+
+import random
+from itertools import product
+
+import pytest
+from conftest import exotic, exotic_chain, relabelled_table
+
+import wbk
+from wbk import SolutionTable, ValidationError, braces, tables
+from wbk.tables import _close, _first_nonassoc, _generators, _mask
+
+# gens = [0], and the least non-associative triple (0, 1, 0) has its middle
+# element outside them: the generator pass fails only at a = 1 and 2
+FALLBACK_MAGMA = ((2, 2, 1), (0, 1, 0), (1, 1, 2))
+
+
+def _nonassoc_scan(op):
+    n = len(op)
+    for a, b, c in product(range(n), repeat=3):
+        if op[op[a][b]][c] != op[a][op[b][c]]:
+            return (a, b, c)
+    return None
+
+
+def _compatibility_scan(add, mul):
+    n = add.order
+    for a, b, c in product(range(n), repeat=3):
+        lhs = mul.op[a][add.op[b][c]]
+        rhs = add.op[add.op[mul.op[a][b]][add.inv[a]]][mul.op[a][c]]
+        if lhs != rhs:
+            raise ValidationError("compatibility", (a, b, c))
+
+
+def _braid_scan(r):
+    def r12(t):
+        u, v = r.pairs[t[0]][t[1]]
+        return (u, v, t[2])
+
+    def r23(t):
+        u, v = r.pairs[t[1]][t[2]]
+        return (t[0], u, v)
+
+    for t in product(range(r.order), repeat=3):
+        if r12(r23(r12(t))) != r23(r12(r23(t))):
+            return t
+    return None
+
+
+def _outcome(validate, *raw):
+    try:
+        validate(*raw)
+    except ValidationError as err:
+        return (err.law, err.witness, err.side)
+    return "valid"
+
+
+def _oracle_outcome(validate, *raw):
+    """_outcome with both kernels swapped for the per-triple scans."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tables, "_first_nonassoc", _nonassoc_scan)
+        mp.setattr(braces, "_check_compatibility", _compatibility_scan)
+        return _outcome(validate, *raw)
+
+
+MAGMA_VALIDATORS = (wbk.validate_group, wbk.validate_semilattice, wbk.validate_clifford)
+PAIR_VALIDATORS = (wbk.validate_skew_brace, wbk.validate_dual_weak_brace)
+
+
+def _check_magma(op):
+    op = tuple(map(tuple, op))
+    n = len(op)
+    gens = _generators(op)
+    assert _close(op, _mask(gens)) == (1 << n) - 1
+    assert _first_nonassoc(op) == _nonassoc_scan(op), op
+    for validate in MAGMA_VALIDATORS:
+        assert _outcome(validate, op) == _oracle_outcome(validate, op), (validate.__name__, op)
+
+
+def test_light_matches_scan_on_random_magmas():
+    rng = random.Random(20)
+    for _ in range(1500):
+        m = rng.randrange(1, 6)
+        _check_magma([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
+
+
+def test_fallback_reports_the_least_witness_outside_the_generators():
+    op = FALLBACK_MAGMA
+    assert _generators(op) == [0]
+    assert _nonassoc_scan(op) == (0, 1, 0)
+    assert _first_nonassoc(op) == (0, 1, 0)
+    with pytest.raises(ValidationError) as exc:
+        wbk.validate_clifford(op)
+    assert (exc.value.law, exc.value.witness) == ("not_associative", (0, 1, 0))
+
+
+def test_light_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    magmas = st.integers(1, 5).flatmap(
+        lambda m: st.lists(st.lists(st.integers(0, m - 1), min_size=m, max_size=m), min_size=m, max_size=m)
+    )
+
+    @hypothesis.given(magmas)
+    def check(op):
+        _check_magma(op)
+
+    check()
+
+
+def _raw(s):
+    return [list(row) for row in s.add.op], [list(row) for row in s.mul.op]
+
+
+def _bases():
+    out = [_raw(exotic(n).as_dual()) for n in range(2, 17, 2)]
+    xor = [[a ^ b for b in range(8)] for a in range(8)]
+    out.append((xor, xor))
+    out += [_raw(exotic_chain(orders)) for orders in ((4, 2), (6, 2, 2), (4, 4, 2))]
+    out += [_raw(s) for _, s in wbk.catalog_structures()]
+    return out
+
+
+def _check_pair(add, mul):
+    """Outcomes of both pair validators, each checked against the oracle."""
+    out = [_outcome(validate, add, mul) for validate in PAIR_VALIDATORS]
+    assert out == [_oracle_outcome(validate, add, mul) for validate in PAIR_VALIDATORS], (add, mul)
+    return out
+
+
+def test_validators_match_scans_on_corrupted_and_twisted_tables():
+    rng = random.Random(21)
+    seen = set()
+    for add, mul in _bases():
+        n = len(add)
+        seen.update(_check_pair(add, mul))
+        for side, _ in product((0, 1), range(12 if n > 1 else 0)):
+            tabs = [[list(row) for row in add], [list(row) for row in mul]]
+            a, b = rng.randrange(n), rng.randrange(n)
+            tabs[side][a][b] = (tabs[side][a][b] + rng.randrange(1, n)) % n
+            seen.update(_check_pair(*tabs))
+        # two valid tables with one relabelled by a permutation fixing 0:
+        # both pass as groups or Clifford semigroups, then compatibility decides
+        for _ in range(6):
+            rest = list(range(1, n))
+            rng.shuffle(rest)
+            perm = [0] + rest
+            seen.update(_check_pair(add, relabelled_table(mul, perm)))
+            seen.update(_check_pair(relabelled_table(add, perm), mul))
+    laws = {(o[0], o[2]) for o in seen if o != "valid"}
+    assert {("not_associative", "add"), ("not_associative", "mul"), ("compatibility", None)} <= laws
+    assert "valid" in seen
+    assert len({o[1] for o in seen if o != "valid" and o[0] == "compatibility"}) > 5
+
+
+def test_validators_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    bases = _bases()
+
+    @hypothesis.given(st.sampled_from(bases), st.integers(0, 1), st.randoms(use_true_random=False))
+    def check(base, side, rng):
+        tabs = [[list(row) for row in t] for t in base]
+        n = len(tabs[0])
+        for _ in range(rng.randrange(1, 3)):
+            tabs[side][rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        _check_pair(*tabs)
+
+    check()
+
+
+def _corrupted(r, rng, entries):
+    n = r.order
+    pairs = [list(row) for row in r.pairs]
+    for _ in range(entries):
+        pairs[rng.randrange(n)][rng.randrange(n)] = (rng.randrange(n), rng.randrange(n))
+    return SolutionTable(n, tuple(map(tuple, pairs)))
+
+
+def _solutions():
+    out = [wbk.solution_of(s) for _, s in wbk.catalog_structures()]
+    out += [wbk.solution_of(exotic(n).as_dual()) for n in (8, 12)]
+    out.append(wbk.solution_of(exotic_chain((6, 2, 2))))
+    return out
+
+
+def test_check_braid_matches_scan():
+    rng = random.Random(22)
+    failed = 0
+    for r in _solutions():
+        assert wbk.check_braid(r) is None
+        for _ in range(25):
+            bad = _corrupted(r, rng, rng.randrange(1, 3))
+            got = wbk.check_braid(bad)
+            assert got == _braid_scan(bad), bad
+            failed += got is not None
+    for _ in range(500):
+        m = rng.randrange(1, 5)
+        r = SolutionTable(m, tuple(tuple((rng.randrange(m), rng.randrange(m)) for _ in range(m)) for _ in range(m)))
+        assert wbk.check_braid(r) == _braid_scan(r), r
+    assert failed > 100
+
+
+def test_check_braid_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    sols = _solutions()
+
+    @hypothesis.given(st.sampled_from(sols), st.randoms(use_true_random=False))
+    def check(r, rng):
+        bad = _corrupted(r, rng, rng.randrange(1, 3))
+        assert wbk.check_braid(bad) == _braid_scan(bad)
+
+    check()
