@@ -16,13 +16,12 @@ from .tables import (
     CliffordTable,
     FiniteGroupTable,
     SemilatticeTable,
+    _clifford_and_gens,
     _first_row_failure,
     _gather,
-    _generators,
+    _group_and_gens,
     _induced,
     clifford_of_group,
-    validate_clifford,
-    validate_group,
     validate_semilattice,
 )
 
@@ -127,8 +126,9 @@ class DualWeakBrace:
             raise InternalInvariantBroken(f"opposite failed validation: {err}") from err
 
 
-def _check_compatibility(add: CliffordTable, mul: CliffordTable) -> None:
-    """Raise at the least (a, b, c) with a*(b+c) != a*b - a + a*c.
+def _check_compatibility(add: CliffordTable, mul: CliffordTable, gens) -> None:
+    """Raise at the least (a, b, c) with a*(b+c) != a*b - a + a*c; gens
+    generates (S, +).
 
     + is associative here (both validators check it first), and then
     Q = {b : a*(b+c) = a*b - a + a*c for all a, c} is closed under +: for
@@ -144,13 +144,14 @@ def _check_compatibility(add: CliffordTable, mul: CliffordTable) -> None:
         # c -> a*(b+c) and c -> (a*b - a) + a*c
         return gather_add[b](mop[a]), gather_mul[a](aop[aop[mop[a][b]][neg[a]]])
 
-    bad = _first_row_failure(add.order, _generators(aop), rows)
+    bad = _first_row_failure(add.order, gens, rows)
     if bad is not None:
         raise ValidationError("compatibility", bad)
 
 
 def _validate_sides(validate, add_raw, mul_raw) -> tuple:
-    """Validate each table, tagging a failure with the side it came from."""
+    """Validate each table, tagging a failure with the side it came from;
+    validate returns a (table, generating set) pair."""
     out = []
     for side, raw in (("add", add_raw), ("mul", mul_raw)):
         try:
@@ -162,19 +163,19 @@ def _validate_sides(validate, add_raw, mul_raw) -> tuple:
 
 def validate_skew_brace(add_raw, mul_raw) -> SkewBrace:
     """Validate both group tables, the shared identity, and compatibility."""
-    add, mul = _validate_sides(validate_group, add_raw, mul_raw)
+    (add, gens), (mul, _) = _validate_sides(_group_and_gens, add_raw, mul_raw)
     if add.order != mul.order:
         raise ValidationError("order_mismatch", (add.order, mul.order))
     if add.identity != mul.identity:
         raise ValidationError("identity_mismatch", (add.identity, mul.identity))
-    _check_compatibility(clifford_of_group(add), clifford_of_group(mul))
+    _check_compatibility(clifford_of_group(add), clifford_of_group(mul), gens)
     return SkewBrace(add, mul)
 
 
 def validate_dual_weak_brace(add_raw, mul_raw) -> DualWeakBrace:
     """Validate both Clifford tables, idempotent agreement, compatibility,
     and a*a' = -a + a; fill the component map from zero parts."""
-    add, mul = _validate_sides(validate_clifford, add_raw, mul_raw)
+    (add, gens), (mul, _) = _validate_sides(_clifford_and_gens, add_raw, mul_raw)
     if add.order != mul.order:
         raise ValidationError("order_mismatch", (add.order, mul.order))
     if add.idempotents != mul.idempotents:
@@ -186,7 +187,7 @@ def validate_dual_weak_brace(add_raw, mul_raw) -> DualWeakBrace:
         circ = mul.op[a][mul.inv[a]]
         if circ != add.op[add.inv[a]][a] or circ != add.op[a][add.inv[a]]:
             raise ValidationError("second_axiom", (a,))
-    _check_compatibility(add, mul)
+    _check_compatibility(add, mul, gens)
     comp_idx = {e: i for i, e in enumerate(add.idempotents)}
     component_of = tuple(comp_idx[add.zero_of(a)] for a in range(n))
     return DualWeakBrace(add, mul, add.idempotents, component_of)

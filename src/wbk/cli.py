@@ -7,6 +7,7 @@ Exit codes: 0 pass/info, 1 mathematical fail (a witness was found),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -344,7 +345,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main call and reused: parse_args
+    leaves it unchanged, so no call sees another's arguments."""
     top = argparse.ArgumentParser(prog="wbk", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
     for name in COMMANDS:

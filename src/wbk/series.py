@@ -70,19 +70,28 @@ def _socle_step(s: DualWeakBrace, prev: frozenset, use_right_dots: bool) -> froz
     return frozenset(out)
 
 
-def _quotient_pullback(s: DualWeakBrace, prev: frozenset, special) -> frozenset:
-    q = quotient(s, prev)
+def _quotient_pullback(s: DualWeakBrace, prev: frozenset, special, quotients: dict) -> frozenset:
+    """The members of s that the projection onto s/prev sends into special of
+    the quotient.  quotients maps each ideal to its quotient: its owner shares
+    it across the series of one structure, so each quotient is built once."""
+    if prev not in quotients:
+        quotients[prev] = quotient(s, prev)
+    q = quotients[prev]
     marked = special(q.quotient)
     return frozenset(a for a in range(s.order) if q.projection[a] in marked)
 
 
-def _upper_series(s: DualWeakBrace, kind: str, use_right_dots: bool, special, noun: str) -> SeriesReport:
-    """Ascend from E(S) by the elementwise step, cross-checked at every step
-    against the pullback of special on the quotient by the previous member."""
+def _upper_series(s: DualWeakBrace, two_sided: bool, quotients: dict) -> SeriesReport:
+    """Ascend from E(S) by the elementwise socle step (annihilator step when
+    two_sided), cross-checked at every step against the pullback of Soc (Ann)
+    of the quotient by the previous member."""
+    kind, special, noun = (
+        ("annihilator-upper", annihilator, "annihilator") if two_sided else ("socle", socle, "socle")
+    )
 
     def step(prev: frozenset) -> frozenset:
-        elementwise = _socle_step(s, prev, use_right_dots)
-        if elementwise != _quotient_pullback(s, prev, special):
+        elementwise = _socle_step(s, prev, two_sided)
+        if elementwise != _quotient_pullback(s, prev, special, quotients):
             raise InternalInvariantBroken(f"{noun} step: elementwise and quotient forms differ")
         return elementwise
 
@@ -91,12 +100,12 @@ def _upper_series(s: DualWeakBrace, kind: str, use_right_dots: bool, special, no
 
 def socle_series(s: DualWeakBrace) -> SeriesReport:
     """Soc_0 = E(S); Soc_n pulls back Soc of the quotient by Soc_{n-1}."""
-    return _upper_series(s, "socle", False, socle, "socle")
+    return _upper_series(s, False, {})
 
 
 def annihilator_series(s: DualWeakBrace) -> SeriesReport:
     """Ann_0 = E(S); Ann_k adds two-sided dots and commutators into Ann_{k-1}."""
-    return _upper_series(s, "annihilator-upper", True, annihilator, "annihilator")
+    return _upper_series(s, True, {})
 
 
 def gamma_step(s: DualWeakBrace, prev: frozenset) -> frozenset:
@@ -141,12 +150,13 @@ def verify_sandwich(s: DualWeakBrace, chain) -> SandwichReport:
             raise NotAnnihilatorSeries(j, (chk.law, chk.witness))
         if j and not chain[j - 1] <= member:
             raise NotAnnihilatorSeries(j, ("not_ascending",))
+    quotients: dict = {}
     for j in range(len(chain) - 1):
-        outside = chain[j + 1] - _quotient_pullback(s, chain[j], annihilator)
+        outside = chain[j + 1] - _quotient_pullback(s, chain[j], annihilator, quotients)
         if outside:
             raise NotAnnihilatorSeries(j, (min(outside),))
 
-    ann = annihilator_series(s)
+    ann = _upper_series(s, True, quotients)
     gam = gamma_series(s)
     if not (ann.terminated and gam.terminated):
         raise InternalInvariantBroken(
@@ -198,9 +208,10 @@ class Classification:
 
 
 def _classify_one(s: DualWeakBrace) -> Classification:
+    quotients: dict = {}
     r = right_series(s)
-    so = socle_series(s)
-    an = annihilator_series(s)
+    so = _upper_series(s, False, quotients)
+    an = _upper_series(s, True, quotients)
     ga = gamma_series(s)
     if so.terminated:
         if not r.terminated or r.index > so.index:
@@ -215,11 +226,20 @@ def _classify_one(s: DualWeakBrace) -> Classification:
 
 
 def classify(s: DualWeakBrace) -> Classification:
-    """Series on s and on every component, with the index relations asserted."""
+    """Series on s and on every component, with the index relations asserted.
+
+    Each distinct structure is classified once: a skew brace is its own
+    single component, and equal components share one Classification."""
     from .compose import decompose
 
     top = _classify_one(s)
-    comps = [_classify_one(b.as_dual()) for b in decompose(s).braces]
+    known = {s: top}
+    comps = []
+    for b in decompose(s).braces:
+        d = b.as_dual()
+        if d not in known:
+            known[d] = _classify_one(d)
+        comps.append(known[d])
     for noun in ("socle", "annihilator"):
         whole, parts = getattr(top, noun), [getattr(c, noun) for c in comps]
         if whole.terminated:

@@ -24,9 +24,12 @@ def _frozen_table(raw) -> tuple[tuple[int, ...], ...]:
         row = tuple(row)
         if len(row) != n:
             raise ValidationError("not_closed", (a,))
-        for b, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise ValidationError("not_closed", (a, b))
+        # a row of plain ints in range passes on C-level calls; any other
+        # row (bools, int subclasses, out of range) gets the per-entry scan
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+            for b, v in enumerate(row):
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                    raise ValidationError("not_closed", (a, b))
         rows.append(row)
     return tuple(rows)
 
@@ -56,8 +59,9 @@ def _first_row_failure(n: int, gens, rows) -> tuple[int, int, int] | None:
     return None
 
 
-def _first_nonassoc(op) -> tuple[int, int, int] | None:
-    """Least (a, b, c) with (ab)c != a(bc), or None (Light's test).
+def _first_nonassoc(op, gens) -> tuple[int, int, int] | None:
+    """Least (a, b, c) with (ab)c != a(bc), or None (Light's test on gens,
+    a generating set of (S, op) such as _generators(op)).
 
     K = {b : (ab)c = a(bc) for all a, c} is closed under op: for b, b' in K,
     (a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c)) = a((bb')c).  So K is the
@@ -65,7 +69,7 @@ def _first_nonassoc(op) -> tuple[int, int, int] | None:
     """
     gather = [_gather(row) for row in op]
     return _first_row_failure(
-        len(op), _generators(op), lambda a, b: (op[op[a][b]], gather[b](op[a]))
+        len(op), gens, lambda a, b: (op[op[a][b]], gather[b](op[a]))
     )
 
 
@@ -223,6 +227,12 @@ class CliffordTable:
 
 def validate_group(raw) -> FiniteGroupTable:
     """Check closure, identity, inverses, associativity; raise on first failure."""
+    return _group_and_gens(raw)[0]
+
+
+def _group_and_gens(raw) -> tuple[FiniteGroupTable, list[int]]:
+    """validate_group, also returning the generating set that decided
+    associativity; the compatibility check reuses it."""
     op = _frozen_table(raw)
     n = len(op)
     ident = next(
@@ -237,10 +247,11 @@ def validate_group(raw) -> FiniteGroupTable:
         if x is None:
             raise ValidationError("no_inverse", (a,))
         inv.append(x)
-    bad = _first_nonassoc(op)
+    gens = _generators(op)
+    bad = _first_nonassoc(op, gens)
     if bad is not None:
         raise ValidationError("not_associative", bad)
-    return FiniteGroupTable(n, op, ident, tuple(inv))
+    return FiniteGroupTable(n, op, ident, tuple(inv)), gens
 
 
 def validate_semilattice(raw) -> SemilatticeTable:
@@ -254,7 +265,7 @@ def validate_semilattice(raw) -> SemilatticeTable:
         for b in range(a + 1, n):
             if meet[a][b] != meet[b][a]:
                 raise ValidationError("not_commutative", (a, b))
-    bad = _first_nonassoc(meet)
+    bad = _first_nonassoc(meet, _generators(meet))
     if bad is not None:
         raise ValidationError("not_associative", bad)
     return SemilatticeTable(n, meet)
@@ -262,9 +273,16 @@ def validate_semilattice(raw) -> SemilatticeTable:
 
 def validate_clifford(raw) -> CliffordTable:
     """Check associativity, unique pseudo-inverses, and a a' = a' a."""
+    return _clifford_and_gens(raw)[0]
+
+
+def _clifford_and_gens(raw) -> tuple[CliffordTable, list[int]]:
+    """validate_clifford, also returning the generating set that decided
+    associativity; the compatibility check reuses it."""
     op = _frozen_table(raw)
     n = len(op)
-    bad = _first_nonassoc(op)
+    gens = _generators(op)
+    bad = _first_nonassoc(op, gens)
     if bad is not None:
         raise ValidationError("not_associative", bad)
     inv = []
@@ -281,7 +299,7 @@ def validate_clifford(raw) -> CliffordTable:
         if op[a][inv[a]] != op[inv[a]][a]:
             raise ValidationError("not_clifford", (a,))
     idems = tuple(e for e in range(n) if op[e][e] == e)
-    return CliffordTable(n, op, tuple(inv), idems)
+    return CliffordTable(n, op, tuple(inv), idems), gens
 
 
 def clifford_of_group(g: FiniteGroupTable) -> CliffordTable:

@@ -1,13 +1,17 @@
 """Command line surface: output lines, exit codes, JSON mode."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from conftest import exotic, exotic_chain_spec, relabelled_table
 
-from wbk import catalog_get, compose, enumerate_ideals, load, solution_of, to_obj
-from wbk.cli import main
+from wbk import catalog_get, cli, compose, enumerate_ideals, load, solution_of, to_obj
+from wbk.cli import COMMANDS, main
 from wbk.ideals import _tier
 
 BRAID_BROKEN = {
@@ -90,6 +94,67 @@ def test_unknown_command_exits_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["widget"])
     assert exc.value.code == 2
+
+
+def test_in_process_calls_share_no_state(capsys):
+    # the parser is built once per process: every call must still see only
+    # its own arguments, defaults included
+    calls = [
+        ("ideals", "--catalog", "z6_exotic", "--mode", "closure"),
+        ("ideals", "--catalog", "z6_exotic"),
+        ("solve", "--catalog", "z6_exotic", "--limit", "5"),
+        ("solve", "--catalog", "z6_exotic"),
+        ("series", "gamma", "--catalog", "z6_exotic", "--members", "0,2,4"),
+        ("series", "gamma", "--catalog", "z6_exotic"),
+        ("ideals", "--catalog", "z6_exotic", "--mode", "fastest"),
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = {}
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh[argv] = outcome(argv)
+    assert fresh[calls[-1]][0] == ("exit", 2)
+    assert fresh[calls[0]] != fresh[calls[1]] and fresh[calls[2]] != fresh[calls[3]]
+    cli._parser.cache_clear()
+    for argv in calls + calls[::-1]:
+        assert outcome(argv) == fresh[argv], argv
+    assert cli._parser.cache_info().misses == 1
+
+
+def _cold(*argv):
+    """Run the entry point in a fresh interpreter on the source tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_cold_process_entry_point():
+    done = _cold("-m", "wbk.cli", "--help")
+    assert done.returncode == 0 and len(COMMANDS) == 19
+    listed = done.stdout.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert listed == list(COMMANDS)
+
+    done = _cold("-m", "wbk.cli", "validate", "--catalog", "z6_exotic")
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines() == ["kind: skew_brace", "order: 6", "valid", "status: pass"]
+
+    done = _cold("-m", "wbk.cli", "widget")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "invalid choice: 'widget'" in done.stderr and "Traceback" not in done.stderr
+
+    # importing the command line builds no parser
+    done = _cold("-c", "import wbk.cli; print(wbk.cli._parser.cache_info().currsize)")
+    assert done.returncode == 0 and done.stdout == "0\n"
 
 
 def test_braid_pass_and_fail(capsys, tmp_path):

@@ -1,11 +1,16 @@
 """Series chains, the sandwich theorem checks, and classification."""
 
+from collections import Counter
+
 import pytest
+from conftest import exotic
 
 import wbk
-from wbk import NotAnIdeal
+from wbk import InternalInvariantBroken, NotAnIdeal, series
 from wbk.errors import NotAnnihilatorSeries
-from wbk.series import gamma_step
+from wbk.series import _quotient_pullback, gamma_step
+
+ELEMENTARY_8 = [[a ^ b for b in range(8)] for a in range(8)]
 
 
 def sizes(report):
@@ -152,3 +157,85 @@ def test_classify_all(all_structures):
     # the internal index cross-checks run on every structure and component
     for name, s in all_structures:
         wbk.classify(s)
+
+
+def _memo_corpus(c3_sym3):
+    """Exotic Z_n up to 16, (Z2)^3 and a two-component glued structure."""
+    out = [(f"exotic Z{n}", exotic(n).as_dual()) for n in range(2, 17, 2)]
+    out.append(("(Z2)^3", wbk.validate_skew_brace(ELEMENTARY_8, ELEMENTARY_8).as_dual()))
+    return out + [("c3_sym3", c3_sym3)]
+
+
+def _stepped(rep):
+    """The chain members an upper series took a step from."""
+    return rep.chain[:-1] if rep.terminated else rep.chain
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the quotients the series module builds, per (structure, ideal)."""
+    counts = Counter()
+    real = series.quotient
+
+    def counting(s, ideal):
+        counts[s, frozenset(ideal)] += 1
+        return real(s, ideal)
+
+    monkeypatch.setattr(series, "quotient", counting)
+    return counts
+
+
+def test_classify_builds_each_quotient_once(built, c3_sym3):
+    for name, s in _memo_corpus(c3_sym3):
+        built.clear()
+        cls = wbk.classify(s)
+        # a skew brace is its own single component, classified once
+        structures = [(s, cls)] + [
+            (b.as_dual(), c) for b, c in zip(wbk.decompose(s).braces, cls.components)
+        ]
+        want = {(t, x) for t, c in structures for rep in (c.socle, c.annihilator) for x in _stepped(rep)}
+        assert set(built) == want, name
+        assert max(built.values()) == 1, (name, built.most_common(1))
+
+
+def test_sandwich_builds_each_quotient_once(built, c3_sym3):
+    checked = 0
+    for name, s in _memo_corpus(c3_sym3):
+        ann = wbk.annihilator_series(s)
+        if not ann.terminated:
+            continue
+        built.clear()
+        wbk.verify_sandwich(s, ann.chain)
+        # the pullback loop and the internal annihilator series share them
+        assert set(built) == {(s, x) for x in ann.chain[:-1]}, name
+        assert max(built.values()) == 1, name
+        checked += 1
+    assert checked >= 3
+
+
+def test_quotient_memo_is_keyed_by_the_ideal():
+    # the pullback of the quotient's idempotents is the ideal itself, so a
+    # memo that hands back the quotient by another ideal shows
+    s = wbk.validate_skew_brace(ELEMENTARY_8, ELEMENTARY_8).as_dual()
+    ideals = wbk.enumerate_ideals(s).ideals
+    memo: dict = {}
+    for ideal in ideals:
+        assert _quotient_pullback(s, ideal, lambda q: frozenset(q.idempotents), memo) == ideal
+    assert len(memo) == len(ideals) == 16
+
+
+@pytest.mark.parametrize("special", ["socle", "annihilator"])
+def test_corrupted_pullback_breaks_classify(monkeypatch, special, z6, c2_c4, c3_sym3):
+    monkeypatch.setattr(series, special, lambda q: frozenset())
+    for s in (z6, c2_c4, c3_sym3):
+        with pytest.raises(InternalInvariantBroken, match=f"{special} step"):
+            wbk.classify(s)
+
+
+def test_corrupted_pullback_breaks_sandwich(monkeypatch, z6):
+    # with Ann pulled back as everything, {0} < Z6 passes the chain's own
+    # pullback test, so only the internal series, on the same memoized
+    # quotient, can catch it
+    monkeypatch.setattr(series, "annihilator", lambda q: frozenset(range(q.order)))
+    with pytest.raises(InternalInvariantBroken, match="annihilator step"):
+        wbk.verify_sandwich(z6, [frozenset({0}), frozenset(range(6))])

@@ -56,6 +56,16 @@ def test_validate_group_rejects_ragged_and_unclosed():
         validate_group([[0, 1], [1, 7]])
     assert exc.value.law == "not_closed"
     assert exc.value.witness == (1, 1)
+    # the witness is the row's first bad entry, whatever makes it bad
+    for row, b in (([1, True], 1), ([1.0, 0], 0), ([1, -1], 1), ([False, 0], 0)):
+        with pytest.raises(ValidationError) as exc:
+            validate_group([[0, 1], row])
+        assert (exc.value.law, exc.value.witness) == ("not_closed", (1, b)), row
+
+    class Label(int):
+        pass
+
+    assert validate_group([[0, 1], [Label(1), Label(0)]]).op == ((0, 1), (1, 0))
 
 
 def test_validate_group_rejects_missing_identity():
