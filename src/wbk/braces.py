@@ -16,6 +16,7 @@ from .tables import (
     CliffordTable,
     FiniteGroupTable,
     SemilatticeTable,
+    _centre,
     _clifford_and_gens,
     _first_row_failure,
     _gather,
@@ -101,11 +102,7 @@ class DualWeakBrace:
         return len(self.idempotents) == 1
 
     def is_brace(self) -> bool:
-        return self.is_skew() and all(
-            self.add.op[a][b] == self.add.op[b][a]
-            for a in range(self.order)
-            for b in range(self.order)
-        )
+        return self.is_skew() and len(_centre(self.add.op)) == self.order
 
     def semilattice(self) -> SemilatticeTable:
         """Meet table of the idempotents, indexed by component."""
@@ -201,7 +198,7 @@ def trivial_brace(g: FiniteGroupTable) -> SkewBrace:
 def relabel(s: DualWeakBrace, perm: tuple[int, ...]) -> DualWeakBrace:
     """Transport s along a bijection old-index -> new-index and revalidate."""
     n, perm = s.order, tuple(perm)
-    if len(perm) != n or set(perm) != set(range(n)):
+    if len(perm) != n or set(perm) != set(range(n)) or any(type(v) is not int for v in perm):
         raise ValueError(f"not a permutation of range({n}): {perm!r}")
     inverse = sorted(range(n), key=perm.__getitem__)
     add, mul = _induced(s.add.op, inverse, perm), _induced(s.mul.op, inverse, perm)

@@ -62,8 +62,7 @@ def _load_one(args, attr_input="input", attr_catalog="catalog"):
     path = getattr(args, attr_input, None)
     name = getattr(args, attr_catalog, None)
     if (path is None) == (name is None):
-        raise UsageError("exactly one of --input/--catalog is required" if attr_input == "input"
-                         else "exactly one of --input2/--catalog2 is required")
+        raise UsageError(f"exactly one of --{attr_input}/--{attr_catalog} is required")
     return load(path if path is not None else f"catalog:{name}")
 
 
@@ -285,7 +284,9 @@ def _cmd_series(args) -> Report:
 
 def _cmd_sandwich(args) -> Report:
     s = _as_dual(_load_one(args))
-    ann = series.annihilator_series(s)
+    # one quotient memo for the series and the check, so each is built once
+    quotients = series._quotients(s)
+    ann = series._upper_series(s, True, quotients)
     if not ann.terminated:
         last = ann.chain[-1]
         return Report(
@@ -297,7 +298,7 @@ def _cmd_sandwich(args) -> Report:
             ],
             [sorted(last)],
         )
-    rep = series.verify_sandwich(s, ann.chain)
+    rep = series._verify_sandwich(s, ann.chain, quotients)
     lines = [
         f"annihilator series terminates at index {ann.index}",
         _series_line(ann),
@@ -377,22 +378,15 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NoPeriod as err:
-        return _emit(
-            Report(args.command, "fail", [f"NO-PERIOD tail={err.tail} cycle={err.cycle}"], []),
-            args.format,
-        )
+        failure = f"NO-PERIOD tail={err.tail} cycle={err.cycle}"
     except NotAnIdeal as err:
-        return _emit(
-            Report(args.command, "fail", [f"not an ideal: {err.law} witness={err.witness}"], []),
-            args.format,
-        )
+        failure = f"not an ideal: {err.law} witness={err.witness}"
     except ValidationError as err:
         side = f" side={err.side}" if err.side else ""
-        return _emit(
-            Report(args.command, "fail", [f"violation: {err.law}{side} witness={err.witness}"], []),
-            args.format,
-        )
-    return _emit(report, args.format)
+        failure = f"violation: {err.law}{side} witness={err.witness}"
+    else:
+        return _emit(report, args.format)
+    return _emit(Report(args.command, "fail", [failure], []), args.format)
 
 
 if __name__ == "__main__":

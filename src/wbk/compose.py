@@ -7,8 +7,10 @@ Global element order is always (semilattice index, local index).
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
-from itertools import count, permutations
+from functools import cache
+from itertools import permutations, tee
 
 from .braces import DualWeakBrace, SkewBrace, validate_dual_weak_brace, validate_skew_brace
 from .errors import InternalInvariantBroken, ValidationError
@@ -157,74 +159,59 @@ def are_isomorphic(s: DualWeakBrace, t: DualWeakBrace) -> IsomorphismWitness | N
     if _invariant_vector(ds) != _invariant_vector(dt):
         return None
     k = ds.y.size
-    iso_cache: dict = {}  # (alpha, beta) -> (isos found so far, their generator)
 
+    @cache
     def isos(alpha: int, beta: int):
         # every brace isomorphism B_alpha -> B'_beta, in lexicographic order,
-        # searched only as far as a caller reads
-        if (alpha, beta) not in iso_cache:
-            ba, bb = ds.braces[alpha], dt.braces[beta]
-            more = iter(())
-            if ba.order == bb.order:
-                more = _brace_homs(ba, bb, _iter_group_homs(ba.mul, bb.mul, injective=True))
-            iso_cache[(alpha, beta)] = ([], more)
-        found, more = iso_cache[(alpha, beta)]
-        for i in count():
-            if i == len(found):
-                f = next(more, None)
-                if f is None:
-                    return
-                found.append(f)
-            yield found[i]
+        # searched only as far as some copy of this unread iterator reads
+        ba, bb = ds.braces[alpha], dt.braces[beta]
+        more = iter(())
+        if ba.order == bb.order:
+            more = _brace_homs(ba, bb, _iter_group_homs(ba.mul, bb.mul, injective=True))
+        return tee(more, 1)[0]
+
+    # squares[c]: the comparable pairs (hi, lo) with max(hi, lo) = c
+    squares = [[(a, b) for a, b in ds.y.comparable_pairs() if max(a, b) == c] for c in range(k)]
+
+    def compatible(eta, thetas: list) -> bool:
+        # the last theta closes every square it is part of:
+        # theta_lo . phi_{hi,lo} = phi'_{eta hi, eta lo} . theta_hi
+        for hi, lo in squares[len(thetas) - 1]:
+            q, low = dt.hom(eta[hi], eta[lo]), thetas[lo]
+            if any(low[px] != q[tx] for px, tx in zip(ds.hom(hi, lo), thetas[hi])):
+                return False
+        return True
+
+    def search(eta, thetas: list) -> list | None:
+        alpha = len(thetas)
+        if alpha == k:
+            return thetas
+        for theta in copy(isos(alpha, eta[alpha])):
+            ext = thetas + [theta]
+            if compatible(eta, ext):
+                hit = search(eta, ext)
+                if hit is not None:
+                    return hit
+        return None
 
     for eta in permutations(range(k)):
         if any(
-            eta[ds.y.meet[i][j]] != dt.y.meet[eta[i]][eta[j]]
+            ds.braces[i].order != dt.braces[eta[i]].order
+            or any(eta[ds.y.meet[i][j]] != dt.y.meet[eta[i]][eta[j]] for j in range(k))
             for i in range(k)
-            for j in range(k)
         ):
             continue
-        if any(ds.braces[i].order != dt.braces[eta[i]].order for i in range(k)):
-            continue
-
-        def compatible(alpha, theta, chosen):
-            for beta, other in chosen.items():
-                if ds.y.ge(alpha, beta) and alpha != beta:
-                    pab = ds.hom(alpha, beta)
-                    qab = dt.hom(eta[alpha], eta[beta])
-                    if any(other[pab[x]] != qab[theta[x]] for x in range(len(theta))):
-                        return False
-                if ds.y.ge(beta, alpha) and alpha != beta:
-                    pba = ds.hom(beta, alpha)
-                    qba = dt.hom(eta[beta], eta[alpha])
-                    if any(theta[pba[x]] != qba[other[x]] for x in range(len(other))):
-                        return False
-            return True
-
-        def search(alpha: int, chosen: dict) -> dict | None:
-            if alpha == k:
-                return chosen
-            for theta in isos(alpha, eta[alpha]):
-                if compatible(alpha, theta, chosen):
-                    hit = search(alpha + 1, {**chosen, alpha: theta})
-                    if hit is not None:
-                        return hit
-            return None
-
-        chosen = search(0, {})
-        if chosen is None:
+        thetas = search(eta, [])
+        if thetas is None:
             continue
         mem_s, mem_t = s.component_members(), t.component_members()
         g = [0] * s.order
-        for alpha in range(k):
-            theta = chosen[alpha]
+        for alpha, theta in enumerate(thetas):
             for i, a in enumerate(mem_s[alpha]):
                 g[a] = mem_t[eta[alpha]][theta[i]]
         if len(set(g)) != s.order:
             raise InternalInvariantBroken("assembled isomorphism is not a bijection")
         if _first_non_hom(g, ((s.add.op, t.add.op), (s.mul.op, t.mul.op))) is not None:
             raise InternalInvariantBroken("assembled isomorphism fails on a pair")
-        return IsomorphismWitness(
-            tuple(eta), tuple(chosen[alpha] for alpha in range(k)), tuple(g)
-        )
+        return IsomorphismWitness(tuple(eta), tuple(thetas), tuple(g))
     return None

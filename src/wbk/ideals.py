@@ -21,7 +21,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .tables import _close, _elements, _first_non_hom, _induced, _mask
+from .tables import _centre, _close, _elements, _first_non_hom, _induced, _mask
 
 DEFAULT_MAX_ORDER = 24
 EXHAUSTIVE_BOUND = 16
@@ -160,28 +160,24 @@ def _require_ideal(s: DualWeakBrace, x) -> None:
         raise NotAnIdeal(chk.law, chk.witness)
 
 
-def _for_every_b(s: DualWeakBrace, law) -> frozenset:
-    """Elements a with law(a, b) for every b."""
-    n = s.order
-    return frozenset(a for a in range(n) if all(law(a, b) for b in range(n)))
-
-
 def socle(s: DualWeakBrace) -> frozenset:
     """Elements a with a+b = a*b and a+b = b+a for every b."""
-    return _for_every_b(s, lambda a, b: s.plus(a, b) == s.times(a, b)) & additive_center(s)
+    rows = zip(s.add.op, s.mul.op)
+    return frozenset(a for a, (x, y) in enumerate(rows) if x == y) & additive_center(s)
 
 
 def fix(s: DualWeakBrace) -> frozenset:
     """Elements b with a+b = a*b for every a."""
-    return _for_every_b(s, lambda b, a: s.plus(a, b) == s.times(a, b))
+    cols = zip(zip(*s.add.op), zip(*s.mul.op))
+    return frozenset(b for b, (x, y) in enumerate(cols) if x == y)
 
 
 def additive_center(s: DualWeakBrace) -> frozenset:
-    return _for_every_b(s, lambda a, b: s.plus(a, b) == s.plus(b, a))
+    return _centre(s.add.op)
 
 
 def mul_center(s: DualWeakBrace) -> frozenset:
-    return _for_every_b(s, lambda a, b: s.times(a, b) == s.times(b, a))
+    return _centre(s.mul.op)
 
 
 def left_center(s: DualWeakBrace) -> frozenset:
@@ -394,13 +390,15 @@ def enumerate_ideals(s: DualWeakBrace, mode: str = "auto") -> IdealEnumeration:
     exhaustive decides every subset containing E(S), pruning a branch once
     a law fails: a depth-first search over the elements in index order in
     which including x replaces the included set by its closure with x, and
-    a closure that takes in an excluded element cuts the branch.  Only
-    leaves that pass the full ideal test are listed.  Above
+    a closure that takes in an excluded element cuts the branch.  Above
     EXHAUSTIVE_BOUND (16) it raises OrderTooLarge; auto picks closure there.
     closure takes joins of principal ideals: a breadth-first search from
     the least ideal that adds I + P_x for each ideal I found and each x not
     in I, P_x the principal ideal of x.  Every ideal is the join of the
-    principal ideals of its elements; each result is checked to be one.
+    principal ideals of its elements.
+    Every candidate of either mode is closed under those images, so each
+    must pass the full ideal test; one that fails raises
+    InternalInvariantBroken.
     """
     bound = max_order()
     if s.order > bound:
@@ -442,14 +440,9 @@ def enumerate_ideals(s: DualWeakBrace, mode: str = "auto") -> IdealEnumeration:
                     if j not in seen:
                         seen.add(j)
                         masks.append(j)
-    found = []
-    for mask in masks:
-        ideal = frozenset(_elements(mask))
-        if _first_failure(s, ideal, _IDEAL)[0] is None:
-            found.append(ideal)
-        elif mode == "closure":
-            raise InternalInvariantBroken("closure-seeded candidate is not an ideal")
-    found.sort(key=lambda x: (len(x), sorted(x)))
+    found = sorted((frozenset(_elements(m)) for m in masks), key=lambda x: (len(x), sorted(x)))
+    if any(_first_failure(s, ideal, _IDEAL)[0] is not None for ideal in found):
+        raise InternalInvariantBroken(f"{mode} candidate is not an ideal")
     return IdealEnumeration(tuple(found), mode)
 
 

@@ -27,16 +27,9 @@ def to_obj(x) -> dict:
         return {"kind": "group", "order": x.order, "op": [list(r) for r in x.op]}
     if isinstance(x, SemilatticeTable):
         return {"kind": "semilattice", "size": x.size, "meet": [list(r) for r in x.meet]}
-    if isinstance(x, SkewBrace):
+    if isinstance(x, (SkewBrace, DualWeakBrace)):
         return {
-            "kind": "skew_brace",
-            "order": x.order,
-            "add": [list(r) for r in x.add.op],
-            "mul": [list(r) for r in x.mul.op],
-        }
-    if isinstance(x, DualWeakBrace):
-        return {
-            "kind": "dual_weak_brace",
+            "kind": "skew_brace" if isinstance(x, SkewBrace) else "dual_weak_brace",
             "order": x.order,
             "add": [list(r) for r in x.add.op],
             "mul": [list(r) for r in x.mul.op],
@@ -122,7 +115,7 @@ def from_obj(obj) -> object:
     if kind == "solution":
         order = _need(obj, "order")
         table = _table(obj, "map")
-        if not isinstance(order, int) or len(table) != order:
+        if type(order) is not int or len(table) != order:
             raise ParseError("solution table does not match its declared order")
         pairs = []
         for row in table:
@@ -133,7 +126,7 @@ def from_obj(obj) -> object:
                 if (
                     not isinstance(p, (list, tuple))
                     or len(p) != 2
-                    or not all(isinstance(v, int) and 0 <= v < order for v in p)
+                    or not all(type(v) is int and 0 <= v < order for v in p)
                 ):
                     raise ParseError("solution entries must be pairs of indices")
                 out.append((p[0], p[1]))

@@ -9,6 +9,7 @@ against the quotient-based definition at every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache, partial
 
 from .braces import DualWeakBrace
 from .errors import InternalInvariantBroken, NotAnnihilatorSeries
@@ -70,18 +71,20 @@ def _socle_step(s: DualWeakBrace, prev: frozenset, use_right_dots: bool) -> froz
     return frozenset(out)
 
 
-def _quotient_pullback(s: DualWeakBrace, prev: frozenset, special, quotients: dict) -> frozenset:
+def _quotients(s: DualWeakBrace):
+    """A memo ideal -> quotient(s, ideal), shared by the series of one call."""
+    return cache(partial(quotient, s))
+
+
+def _quotient_pullback(s: DualWeakBrace, prev: frozenset, special, quotients) -> frozenset:
     """The members of s that the projection onto s/prev sends into special of
-    the quotient.  quotients maps each ideal to its quotient: its owner shares
-    it across the series of one structure, so each quotient is built once."""
-    if prev not in quotients:
-        quotients[prev] = quotient(s, prev)
-    q = quotients[prev]
+    the quotient; quotients is a _quotients(s) memo."""
+    q = quotients(prev)
     marked = special(q.quotient)
     return frozenset(a for a in range(s.order) if q.projection[a] in marked)
 
 
-def _upper_series(s: DualWeakBrace, two_sided: bool, quotients: dict) -> SeriesReport:
+def _upper_series(s: DualWeakBrace, two_sided: bool, quotients) -> SeriesReport:
     """Ascend from E(S) by the elementwise socle step (annihilator step when
     two_sided), cross-checked at every step against the pullback of Soc (Ann)
     of the quotient by the previous member."""
@@ -100,12 +103,12 @@ def _upper_series(s: DualWeakBrace, two_sided: bool, quotients: dict) -> SeriesR
 
 def socle_series(s: DualWeakBrace) -> SeriesReport:
     """Soc_0 = E(S); Soc_n pulls back Soc of the quotient by Soc_{n-1}."""
-    return _upper_series(s, False, {})
+    return _upper_series(s, False, _quotients(s))
 
 
 def annihilator_series(s: DualWeakBrace) -> SeriesReport:
     """Ann_0 = E(S); Ann_k adds two-sided dots and commutators into Ann_{k-1}."""
-    return _upper_series(s, True, {})
+    return _upper_series(s, True, _quotients(s))
 
 
 def gamma_step(s: DualWeakBrace, prev: frozenset) -> frozenset:
@@ -137,6 +140,11 @@ class SandwichReport:
 def verify_sandwich(s: DualWeakBrace, chain) -> SandwichReport:
     """Given an annihilator series, check Gamma_{k-j} <= I_j <= Ann_j for all j,
     plus the consecutive-step and sum identities behind the theorem."""
+    return _verify_sandwich(s, chain, _quotients(s))
+
+
+def _verify_sandwich(s: DualWeakBrace, chain, quotients) -> SandwichReport:
+    """verify_sandwich on a _quotients(s) memo its caller may share."""
     chain = tuple(frozenset(x) for x in chain)
     full = frozenset(range(s.order))
     target = frozenset(s.idempotents)
@@ -150,7 +158,6 @@ def verify_sandwich(s: DualWeakBrace, chain) -> SandwichReport:
             raise NotAnnihilatorSeries(j, (chk.law, chk.witness))
         if j and not chain[j - 1] <= member:
             raise NotAnnihilatorSeries(j, ("not_ascending",))
-    quotients: dict = {}
     for j in range(len(chain) - 1):
         outside = chain[j + 1] - _quotient_pullback(s, chain[j], annihilator, quotients)
         if outside:
@@ -172,13 +179,7 @@ def verify_sandwich(s: DualWeakBrace, chain) -> SandwichReport:
             raise InternalInvariantBroken("lower bound of the sandwich fails")
         if not chain[j] <= at(ann, j):
             raise InternalInvariantBroken("upper bound of the sandwich fails")
-    stepped: dict[frozenset, frozenset] = {}
-
-    def step(x: frozenset) -> frozenset:
-        if x not in stepped:
-            stepped[x] = gamma_step(s, x)
-        return stepped[x]
-
+    step = cache(partial(gamma_step, s))
     for j in range(k):
         if not step(chain[j + 1]) <= chain[j]:
             raise InternalInvariantBroken("one-step gamma containment fails")
@@ -208,7 +209,7 @@ class Classification:
 
 
 def _classify_one(s: DualWeakBrace) -> Classification:
-    quotients: dict = {}
+    quotients = _quotients(s)
     r = right_series(s)
     so = _upper_series(s, False, quotients)
     an = _upper_series(s, True, quotients)
@@ -232,14 +233,9 @@ def classify(s: DualWeakBrace) -> Classification:
     single component, and equal components share one Classification."""
     from .compose import decompose
 
-    top = _classify_one(s)
-    known = {s: top}
-    comps = []
-    for b in decompose(s).braces:
-        d = b.as_dual()
-        if d not in known:
-            known[d] = _classify_one(d)
-        comps.append(known[d])
+    classify_one = cache(_classify_one)
+    top = classify_one(s)
+    comps = [classify_one(b.as_dual()) for b in decompose(s).braces]
     for noun in ("socle", "annihilator"):
         whole, parts = getattr(top, noun), [getattr(c, noun) for c in comps]
         if whole.terminated:

@@ -73,6 +73,12 @@ def _first_nonassoc(op, gens) -> tuple[int, int, int] | None:
     )
 
 
+def _centre(op) -> frozenset:
+    """Elements whose row equals their column in the frozen (tuple-row)
+    table op: the a with ab = ba for every b."""
+    return frozenset(a for a, (row, col) in enumerate(zip(op, zip(*op))) if row == col)
+
+
 @dataclass(frozen=True)
 class FiniteGroupTable:
     """A finite group as a Cayley table with precomputed identity and inverses."""
@@ -96,9 +102,7 @@ class FiniteGroupTable:
         return out
 
     def is_abelian(self) -> bool:
-        return all(
-            self.op[a][b] == self.op[b][a] for a in range(self.order) for b in range(self.order)
-        )
+        return len(_centre(self.op)) == self.order
 
 
 @dataclass(frozen=True)

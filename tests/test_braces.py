@@ -144,8 +144,9 @@ def test_relabel_round_trip(z6):
     back = wbk.relabel(t, inv)
     assert back.add.op == z6.add.op and back.mul.op == z6.mul.op
     assert sorted(t.idempotents) == [perm[0]]
-    # a repeated, an out-of-range and a short map are not permutations
-    for bad in ((0, 0, 2, 3, 4, 5), (0, 1, 2, 3, 4, 9), (0, 1, 2)):
+    # a repeated, an out-of-range and a short map are not permutations, and
+    # neither is one with a bool or a float that equals and hashes as an index
+    for bad in ((0, 0, 2, 3, 4, 5), (0, 1, 2, 3, 4, 9), (0, 1, 2), (True, 0, 2, 3, 4, 5), (0.0, 1, 2, 3, 4, 5)):
         with pytest.raises(ValueError):
             wbk.relabel(z6, bad)
 

@@ -6,6 +6,7 @@ import pytest
 
 import wbk
 from wbk import ParseError, UnknownName
+from wbk.cli import main
 
 
 def test_catalog_list_shape():
@@ -122,6 +123,21 @@ def test_solution_obj_checks():
         wbk.from_obj(
             {"kind": "solution", "order": 1, "map": [[[0, 5]]]}
         )
+
+
+def test_solution_obj_rejects_bools(tmp_path, capsys):
+    # JSON true loads as True, which equals and hashes as 1: only a type test keeps it out
+    for obj in (
+        {"kind": "solution", "order": True, "map": [[[0, 0]]]},
+        {"kind": "solution", "order": 2, "map": [[[0, 0], [True, 0]], [[1, 1], [0, 1]]]},
+    ):
+        with pytest.raises(ParseError):
+            wbk.from_obj(obj)
+        path = tmp_path / "solution.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["solve", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_spec_obj_checks():

@@ -6,7 +6,7 @@ import pytest
 from conftest import exotic, exotic_chain, non_chain
 
 import wbk
-from wbk import NotAHom, NotAnIdeal, OrderTooLarge
+from wbk import InternalInvariantBroken, NotAHom, NotAnIdeal, OrderTooLarge, ideals
 from wbk.ideals import _tier, additive_center, is_normal_subsemigroup, mul_center
 
 
@@ -175,6 +175,52 @@ def test_enumerate_ideals_order_guard(monkeypatch):
     z6 = wbk.catalog_get("z6_exotic").as_dual()
     with pytest.raises(OrderTooLarge):
         wbk.enumerate_ideals(z6)
+
+
+def test_post_check_catches_a_broken_image_table(monkeypatch, z6):
+    # with only the -i images both searches close to subgroups of (S, +),
+    # and the subgroup {0, 3} of Z6 is not an ideal
+    monkeypatch.setattr(ideals, "_ideal_images", lambda s: [1 << v for v in s.add.inv])
+    for mode in ("exhaustive", "closure"):
+        with pytest.raises(InternalInvariantBroken, match=f"{mode} candidate is not an ideal"):
+            wbk.enumerate_ideals(z6, mode)
+
+
+def test_special_sets_and_commutation_match_their_definitions(all_structures):
+    cases = list(all_structures)
+    cases += [(name + " opposite", s.opposite()) for name, s in all_structures]
+    cases += [(f"exotic Z{n}", exotic(n).as_dual()) for n in range(2, 17, 2)]
+    cases += [("(Z2)^3", _elementary(3)), ("non-chain", non_chain())]
+    cases += [(f"chain {c}", exotic_chain(c)) for c in ((6, 2, 2), (12, 6, 2), (8, 4, 4, 2))]
+    for name, s in cases:
+        el = range(s.order)
+
+        def every_b(law):
+            return frozenset(a for a in el if all(law(a, b) for b in el))
+
+        def plus_comm(a, b):
+            return s.plus(a, b) == s.plus(b, a)
+
+        def times_comm(a, b):
+            return s.times(a, b) == s.times(b, a)
+
+        def agree(a, b):
+            return s.plus(a, b) == s.times(a, b)
+
+        assert wbk.socle(s) == every_b(lambda a, b: agree(a, b) and plus_comm(a, b)), name
+        assert wbk.fix(s) == every_b(lambda a, b: agree(b, a)), name
+        assert wbk.left_center(s) == every_b(lambda a, b: agree(b, a) and plus_comm(a, b)), name
+        want = every_b(lambda a, b: agree(a, b) and plus_comm(a, b) and times_comm(a, b))
+        assert wbk.annihilator(s) == want, name
+        assert additive_center(s) == every_b(plus_comm), name
+        assert mul_center(s) == every_b(times_comm), name
+        abelian = all(plus_comm(a, b) for a in el for b in el)
+        assert s.is_brace() == (len(s.idempotents) == 1 and abelian), name
+        for b in wbk.decompose(s).braces:
+            pairs = list(itertools.product(range(b.order), repeat=2))
+            for g in (b.add, b.mul):
+                assert g.is_abelian() == all(g.op[x][y] == g.op[y][x] for x, y in pairs), name
+            assert b.is_brace() == all(b.add.op[x][y] == b.add.op[y][x] for x, y in pairs), name
 
 
 def test_ideal_decomposition(c2_c4, c3_sym3):

@@ -7,8 +7,9 @@ from conftest import exotic
 
 import wbk
 from wbk import InternalInvariantBroken, NotAnIdeal, series
+from wbk.cli import main
 from wbk.errors import NotAnnihilatorSeries
-from wbk.series import _quotient_pullback, gamma_step
+from wbk.series import _quotient_pullback, _quotients, gamma_step
 
 ELEMENTARY_8 = [[a ^ b for b in range(8)] for a in range(8)]
 
@@ -213,15 +214,28 @@ def test_sandwich_builds_each_quotient_once(built, c3_sym3):
     assert checked >= 3
 
 
+def test_sandwich_command_builds_each_quotient_once(built, c3_sym3, tmp_path, capsys):
+    # the command's own annihilator series and the check share one memo
+    path = tmp_path / "in.json"
+    for name, s in _memo_corpus(c3_sym3):
+        path.write_text(wbk.dumps(s), encoding="utf-8")
+        ann = wbk.annihilator_series(s)
+        built.clear()
+        assert main(["sandwich", "--input", str(path)]) == (0 if ann.terminated else 1), name
+        assert set(built) == {(s, x) for x in _stepped(ann)}, name
+        assert max(built.values()) == 1, (name, built.most_common(1))
+    capsys.readouterr()
+
+
 def test_quotient_memo_is_keyed_by_the_ideal():
     # the pullback of the quotient's idempotents is the ideal itself, so a
     # memo that hands back the quotient by another ideal shows
     s = wbk.validate_skew_brace(ELEMENTARY_8, ELEMENTARY_8).as_dual()
     ideals = wbk.enumerate_ideals(s).ideals
-    memo: dict = {}
+    memo = _quotients(s)
     for ideal in ideals:
         assert _quotient_pullback(s, ideal, lambda q: frozenset(q.idempotents), memo) == ideal
-    assert len(memo) == len(ideals) == 16
+    assert memo.cache_info().currsize == len(ideals) == 16
 
 
 @pytest.mark.parametrize("special", ["socle", "annihilator"])
