@@ -284,7 +284,7 @@ def _cmd_series(args) -> Report:
 
 def _cmd_sandwich(args) -> Report:
     s = _as_dual(_load_one(args))
-    # one quotient memo for the series and the check, so each is built once
+    # the check reuses the series and its quotient memo, so each is built once
     quotients = series._quotients(s)
     ann = series._upper_series(s, True, quotients)
     if not ann.terminated:
@@ -298,7 +298,7 @@ def _cmd_sandwich(args) -> Report:
             ],
             [sorted(last)],
         )
-    rep = series._verify_sandwich(s, ann.chain, quotients)
+    rep = series._verify_sandwich(s, ann.chain, ann, quotients)
     lines = [
         f"annihilator series terminates at index {ann.index}",
         _series_line(ann),
@@ -373,6 +373,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.limit is not None and args.limit < 0:
+            raise UsageError(f"--limit must not be negative, got {args.limit}")
         report = COMMANDS[args.command](args)
     except (UsageError, ParseError, UnknownName, OrderTooLarge) as err:
         print(f"error: {err}", file=sys.stderr)

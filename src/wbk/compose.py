@@ -10,7 +10,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, tee
+from itertools import tee
 
 from .braces import DualWeakBrace, SkewBrace, validate_dual_weak_brace, validate_skew_brace
 from .errors import InternalInvariantBroken, ValidationError
@@ -136,44 +136,43 @@ class IsomorphismWitness:
     global_map: tuple[int, ...]
 
 
-def _invariant_vector(spec: StrongSemilatticeSpec):
-    return sorted(
-        (b.order, b.mul.exponent(), b.add.exponent(), b.add.is_abelian(), b.mul.is_abelian())
-        for b in spec.braces
-    )
-
-
 def are_isomorphic(s: DualWeakBrace, t: DualWeakBrace) -> IsomorphismWitness | None:
     """Search for a structure isomorphism; None when none exists.
 
-    The witness is the first in canonical order: eta by lexicographic
-    permutation order, then the thetas lexicographically, component 0
-    first, each theta from its component's brace isomorphisms in
-    lexicographic order.  Those are generated lazily, with non-injective
-    partial maps pruned, so the search stops at the first witness; only a
-    None verdict runs every candidate to the end.
+    One backtracking search assigns eta(0), eta(1), ... and then theta_0,
+    theta_1, ..., each in increasing order, and returns the first witness.
+    eta(a) = b is kept when components a and b have equal invariants (order,
+    both exponents, both abelian flags) and eta keeps and reflects >= against
+    the elements already assigned; for a bijection of finite meet-semilattices
+    that is the same as preserving meets.  Each theta comes from its
+    component's brace isomorphisms, generated lazily in lexicographic order
+    with non-injective partial maps pruned, and must close its commuting
+    squares.  The worst case stays exponential: when Y has many automorphisms
+    and only the connecting homs differ, each automorphism is tried.
     """
     if s.order != t.order or len(s.idempotents) != len(t.idempotents):
         return None
     ds, dt = decompose(s), decompose(t)
-    if _invariant_vector(ds) != _invariant_vector(dt):
+    inv_s, inv_t = ([(b.order, b.mul.exponent(), b.add.exponent(), b.add.is_abelian(),
+                      b.mul.is_abelian()) for b in d.braces] for d in (ds, dt))
+    if sorted(inv_s) != sorted(inv_t):
         return None
     k = ds.y.size
+    # ge[a][b]: (a >= b, b >= a) in Y
+    ge_s, ge_t = ([[(m[a][b] == b, m[a][b] == a) for b in range(k)] for a in range(k)]
+                  for m in (ds.y.meet, dt.y.meet))
 
     @cache
     def isos(alpha: int, beta: int):
         # every brace isomorphism B_alpha -> B'_beta, in lexicographic order,
         # searched only as far as some copy of this unread iterator reads
         ba, bb = ds.braces[alpha], dt.braces[beta]
-        more = iter(())
-        if ba.order == bb.order:
-            more = _brace_homs(ba, bb, _iter_group_homs(ba.mul, bb.mul, injective=True))
-        return tee(more, 1)[0]
+        return tee(_brace_homs(ba, bb, _iter_group_homs(ba.mul, bb.mul, injective=True)), 1)[0]
 
     # squares[c]: the comparable pairs (hi, lo) with max(hi, lo) = c
     squares = [[(a, b) for a, b in ds.y.comparable_pairs() if max(a, b) == c] for c in range(k)]
 
-    def compatible(eta, thetas: list) -> bool:
+    def compatible(eta: tuple, thetas: tuple) -> bool:
         # the last theta closes every square it is part of:
         # theta_lo . phi_{hi,lo} = phi'_{eta hi, eta lo} . theta_hi
         for hi, lo in squares[len(thetas) - 1]:
@@ -182,36 +181,33 @@ def are_isomorphic(s: DualWeakBrace, t: DualWeakBrace) -> IsomorphismWitness | N
                 return False
         return True
 
-    def search(eta, thetas: list) -> list | None:
-        alpha = len(thetas)
-        if alpha == k:
-            return thetas
-        for theta in copy(isos(alpha, eta[alpha])):
-            ext = thetas + [theta]
-            if compatible(eta, ext):
-                hit = search(eta, ext)
-                if hit is not None:
-                    return hit
+    def search(eta: tuple, thetas: tuple) -> tuple | None:
+        a = len(eta)
+        if a < k:
+            steps = ((eta + (b,), thetas) for b in range(k) if inv_s[a] == inv_t[b] and b not in eta
+                     and all(ge_s[a][j] == ge_t[b][c] for j, c in enumerate(eta)))
+        elif len(thetas) < k:
+            exts = (thetas + (th,) for th in copy(isos(len(thetas), eta[len(thetas)])))
+            steps = ((eta, ext) for ext in exts if compatible(eta, ext))
+        else:
+            return eta, thetas
+        for step in steps:
+            hit = search(*step)
+            if hit is not None:
+                return hit
         return None
 
-    for eta in permutations(range(k)):
-        if any(
-            ds.braces[i].order != dt.braces[eta[i]].order
-            or any(eta[ds.y.meet[i][j]] != dt.y.meet[eta[i]][eta[j]] for j in range(k))
-            for i in range(k)
-        ):
-            continue
-        thetas = search(eta, [])
-        if thetas is None:
-            continue
-        mem_s, mem_t = s.component_members(), t.component_members()
-        g = [0] * s.order
-        for alpha, theta in enumerate(thetas):
-            for i, a in enumerate(mem_s[alpha]):
-                g[a] = mem_t[eta[alpha]][theta[i]]
-        if len(set(g)) != s.order:
-            raise InternalInvariantBroken("assembled isomorphism is not a bijection")
-        if _first_non_hom(g, ((s.add.op, t.add.op), (s.mul.op, t.mul.op))) is not None:
-            raise InternalInvariantBroken("assembled isomorphism fails on a pair")
-        return IsomorphismWitness(tuple(eta), tuple(thetas), tuple(g))
-    return None
+    hit = search((), ())
+    if hit is None:
+        return None
+    eta, thetas = hit
+    mem_s, mem_t = s.component_members(), t.component_members()
+    g = [0] * s.order
+    for alpha, theta in enumerate(thetas):
+        for i, a in enumerate(mem_s[alpha]):
+            g[a] = mem_t[eta[alpha]][theta[i]]
+    if len(set(g)) != s.order:
+        raise InternalInvariantBroken("assembled isomorphism is not a bijection")
+    if _first_non_hom(g, ((s.add.op, t.add.op), (s.mul.op, t.mul.op))) is not None:
+        raise InternalInvariantBroken("assembled isomorphism fails on a pair")
+    return IsomorphismWitness(eta, thetas, tuple(g))

@@ -141,11 +141,10 @@ def load(source: str) -> object:
         return catalog_get(source[len("catalog:"):])
     try:
         with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise ParseError(str(err)) from None
-    try:
-        obj = json.loads(text)
+            obj = json.load(fh)
     except json.JSONDecodeError as err:
         raise ParseError(err.msg, f"byte {err.pos} (line {err.lineno}, column {err.colno})") from None
+    except (OSError, UnicodeDecodeError, RecursionError) as err:
+        # an unreadable file, bytes that are not UTF-8, nesting past the parser's depth
+        raise ParseError(str(err)) from None
     return from_obj(obj)

@@ -140,11 +140,13 @@ class SandwichReport:
 def verify_sandwich(s: DualWeakBrace, chain) -> SandwichReport:
     """Given an annihilator series, check Gamma_{k-j} <= I_j <= Ann_j for all j,
     plus the consecutive-step and sum identities behind the theorem."""
-    return _verify_sandwich(s, chain, _quotients(s))
+    quotients = _quotients(s)
+    return _verify_sandwich(s, chain, _upper_series(s, True, quotients), quotients)
 
 
-def _verify_sandwich(s: DualWeakBrace, chain, quotients) -> SandwichReport:
-    """verify_sandwich on a _quotients(s) memo its caller may share."""
+def _verify_sandwich(s: DualWeakBrace, chain, ann: SeriesReport, quotients) -> SandwichReport:
+    """verify_sandwich against ann, the annihilator series of s, on the
+    _quotients(s) memo that built it."""
     chain = tuple(frozenset(x) for x in chain)
     full = frozenset(range(s.order))
     target = frozenset(s.idempotents)
@@ -163,7 +165,6 @@ def _verify_sandwich(s: DualWeakBrace, chain, quotients) -> SandwichReport:
         if outside:
             raise NotAnnihilatorSeries(j, (min(outside),))
 
-    ann = _upper_series(s, True, quotients)
     gam = gamma_series(s)
     if not (ann.terminated and gam.terminated):
         raise InternalInvariantBroken(

@@ -100,6 +100,22 @@ def test_load_missing_file():
         wbk.load("/no/such/file.json")
 
 
+def test_load_invalid_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"kind": "gr\xffoup"}')
+    with pytest.raises(ParseError) as exc:
+        wbk.load(str(path))
+    assert "utf-8" in str(exc.value)
+
+
+def test_load_deeply_nested(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000, encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        wbk.load(str(path))
+    assert "recursion" in str(exc.value)
+
+
 def test_from_obj_rejections():
     with pytest.raises(ParseError):
         wbk.from_obj([1, 2, 3])

@@ -2,15 +2,17 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from conftest import exotic, exotic_chain_spec, relabelled_table
 
-from wbk import catalog_get, cli, compose, enumerate_ideals, load, solution_of, to_obj
+from wbk import catalog_get, catalog_list, cli, compose, enumerate_ideals, load, solution_of, to_obj
 from wbk.cli import COMMANDS, main
 from wbk.ideals import _tier
 
@@ -180,6 +182,16 @@ def test_solve_rows_and_limit(capsys):
     code, out, _ = run(capsys, "solve", "--catalog", "c3_sym3", "--limit", "5")
     assert out[0] == "order: 9" and out[-2] == "truncated"
     assert len(out) == 8
+
+
+def test_negative_limit_is_a_usage_error(capsys):
+    homs = ("homs", "--catalog", "c3_trivial", "--catalog2", "sym3_trivial")
+    for argv in (("ideals", "--catalog", "z6_exotic", "--limit", "-1"), (*homs, "--limit", "-2"),
+                 ("braid", "--catalog", "z6_exotic", "--limit", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == [] and "--limit must not be negative" in err, argv
+    code, out, _ = run(capsys, *homs, "--limit", "0")
+    assert code == 0 and out == ["count: 3", "truncated", "status: pass"]
 
 
 def test_special_sets(capsys):
@@ -432,3 +444,61 @@ def test_violation_and_braid_fail_lines_are_pinned(capsys, tmp_path):
     for cmd, obj, line in cases:
         code, out, _ = run(capsys, cmd, "--input", write_json(tmp_path, obj))
         assert (code, out) == (1, [line, "status: fail"]), (cmd, line)
+
+
+FUZZ_TOKENS = (b"[", b"]", b"{", b"}", b",", b":", b'"', b"null", b"true", b"-1", b"1.5", b"1e400",
+               b"NaN", b"123456789012345678901234567890", b'"0>1"', b'"kind"', b"\\u00ff")
+FUZZ_VALUES = (None, True, 1.5, -1, 10**20, "x", "group", [], {}, [[]], [[0]], [[0, 0], [0, 0]])
+FUZZ_COMMANDS = (
+    ("validate",), ("compose",), ("decompose",), ("solve",), ("braid",), ("period",),
+    ("regularity",), ("ideals",), ("soc",), ("fix",), ("zl",), ("ann",),
+    ("quotient", "--members", "0"), ("series", "gamma"), ("series", "socle"), ("sandwich",),
+    ("classify",), ("homs", "--catalog2", "c2_trivial"), ("iso", "--catalog2", "z6_exotic"),
+)
+
+
+def _slots(x, out):
+    """Every (container, key) pair in a parsed JSON value, depth first."""
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, v in items:
+        out.append((x, key))
+        _slots(v, out)
+    return out
+
+
+def _mutant(rng, obj) -> bytes:
+    """obj as JSON with one seeded byte flip, truncation, token insertion or
+    field-type swap."""
+    data = bytearray(json.dumps(obj), "utf-8")
+    how = rng.randrange(4)
+    if how == 0:
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+    elif how == 1:
+        del data[rng.randrange(len(data)):]
+    elif how == 2:
+        at = rng.randrange(len(data) + 1)
+        data[at:at] = rng.choice(FUZZ_TOKENS)
+    else:
+        obj = json.loads(data)
+        container, key = rng.choice(_slots(obj, []))
+        container[key] = rng.choice(FUZZ_VALUES)
+        data = bytearray(json.dumps(obj), "utf-8")
+    return bytes(data)
+
+
+def test_fuzzed_files_keep_the_exit_code_contract(capsys, tmp_path):
+    # a malformed file is a parse error (2) or a violation (1), never a traceback
+    rng = random.Random(0)
+    bases = [to_obj(catalog_get(name)) for name, _, _ in catalog_list()]
+    bases.append(to_obj(solution_of(catalog_get("z6_exotic").as_dual())))
+    path = tmp_path / "fuzz.json"
+    codes = Counter()
+    for i in range(3000):
+        path.write_bytes(_mutant(rng, rng.choice(bases)))
+        cmd = FUZZ_COMMANDS[i % len(FUZZ_COMMANDS)]
+        code, out, err = run(capsys, cmd[0], "--input", str(path), *cmd[1:])
+        assert code in (0, 1, 2), cmd
+        assert err.startswith("error: ") if code == 2 else out[-1].startswith("status: "), cmd
+        codes[code] += 1
+    assert set(codes) == {0, 1, 2}, codes

@@ -2,9 +2,10 @@
 
 import itertools
 import random
+import time
 
 import pytest
-from conftest import exotic, non_chain
+from conftest import exotic, exotic_chain, non_chain
 
 import wbk
 from wbk import ValidationError
@@ -159,14 +160,10 @@ def carries_both_tables(s, t, g):
     )
 
 
-def reference_witness(s, t):
-    """The first isomorphism in canonical order, by plain search: eta in
-    lexicographic order, then every tuple of component bijections taken
-    from enumerate_skew_brace_homs, in product order, until the assembled
-    map carries both tables."""
-    ds, dt = wbk.decompose(s), wbk.decompose(t)
+def order_isos(ds, dt):
+    """The permutations eta of the semilattice that preserve meets and
+    component orders, in lexicographic order."""
     k = ds.y.size
-    ms, mt = s.component_members(), t.component_members()
     for eta in itertools.permutations(range(k)):
         if any(
             eta[ds.y.meet[i][j]] != dt.y.meet[eta[i]][eta[j]] for i in range(k) for j in range(k)
@@ -174,6 +171,18 @@ def reference_witness(s, t):
             continue
         if any(ds.braces[i].order != dt.braces[eta[i]].order for i in range(k)):
             continue
+        yield eta
+
+
+def reference_witness(s, t):
+    """The first isomorphism in canonical order, by plain search: eta from
+    order_isos, then every tuple of component bijections taken from
+    enumerate_skew_brace_homs, in product order, until the assembled map
+    carries both tables."""
+    ds, dt = wbk.decompose(s), wbk.decompose(t)
+    k = ds.y.size
+    ms, mt = s.component_members(), t.component_members()
+    for eta in order_isos(ds, dt):
         bijections = [
             [
                 f
@@ -190,6 +199,28 @@ def reference_witness(s, t):
             if carries_both_tables(s, t, g):
                 return eta, thetas, tuple(g)
     return None
+
+
+def star(comps, homs):
+    """comps[:-1] as pairwise incomparable atoms over the bottom comps[-1],
+    atom a joined to it by homs[a]."""
+    k = len(comps)
+    y = [[a if a == b else k - 1 for b in range(k)] for a in range(k)]
+    return wbk.compose(wbk.validate_spec(y, comps, {(a, k - 1): f for a, f in enumerate(homs)}))
+
+
+def mixed_stars():
+    """Stars of 4 and 5 components with two atoms of equal invariants that
+    only their connecting homs tell apart, and for each a star that differs
+    from it only in that hom."""
+    c2, c3, c6 = (wbk.catalog_get(f"c{n}_trivial") for n in (2, 3, 6))
+    z4 = exotic(4)
+    four = [c2, c2, z4, z4], [(0, 0), (0, 2), (0, 1, 2, 3)], (0, 2)
+    five = [c2, c2, c3, c3, c6], [(0, 0), (0, 3), (0, 0, 0), (0, 2, 4)], (0, 3)
+    # the other star joins its first atom like its second
+    return [
+        (star(comps, homs), star(comps, [other] + homs[1:])) for comps, homs, other in (four, five)
+    ]
 
 
 def z6_over_c6():
@@ -219,6 +250,59 @@ def test_are_isomorphic_returns_the_reference_witness(all_structures, c3_sym3):
             swapped += wbk.are_isomorphic(s, wbk.relabel(s, perm)).eta[:2] == (1, 0)
     # the non-chain structure must need the second eta at least once
     assert swapped > 0
+    # each star must need an eta after the first order isomorphism at least once
+    for s, _ in mixed_stars():
+        later = 0
+        for _ in range(4):
+            perm = list(range(s.order))
+            rng.shuffle(perm)
+            assert_reference_witness(s, perm)
+            t = wbk.relabel(s, perm)
+            first = next(order_isos(wbk.decompose(s), wbk.decompose(t)))
+            later += wbk.are_isomorphic(s, t).eta != first
+        assert later > 0, s.order
+
+
+def test_non_isomorphic_pairs_over_isomorphic_semilattices():
+    # same semilattice, same component invariants, different connecting homs
+    rng = random.Random(7)
+    zero_hom = wbk.compose(
+        wbk.validate_spec(CHAIN2, [exotic(4), exotic(2)], {(0, 1): (0, 0, 0, 0)})
+    )
+    y = [[0, 2, 2], [2, 1, 2], [2, 2, 2]]
+    c2, c4 = wbk.catalog_get("c2_trivial"), wbk.catalog_get("c4_trivial")
+    zero_atom = wbk.compose(wbk.validate_spec(y, [c2, c2, c4], {(0, 2): (0, 0), (1, 2): (0, 2)}))
+    pairs = mixed_stars() + [(exotic_chain((4, 2)), zero_hom), (non_chain(), zero_atom)]
+    for s, other in pairs:
+        perm = list(range(other.order))
+        rng.shuffle(perm)
+        t = wbk.relabel(other, perm)
+        assert next(order_isos(wbk.decompose(s), wbk.decompose(t)), None) is not None
+        assert wbk.are_isomorphic(s, t) is None
+        assert wbk.are_isomorphic(t, s) is None
+        assert reference_witness(s, t) is None
+
+
+def test_are_isomorphic_backtracks_on_eta():
+    # k C2 components on a chain and on a star share every invariant but the
+    # order of Y, which the search must rule out without walking all k! bijections
+    k = 12
+    c2 = wbk.catalog_get("c2_trivial")
+    y = [[max(a, b) for b in range(k)] for a in range(k)]
+    chain = wbk.compose(
+        wbk.validate_spec(y, [c2] * k, {(a, b): (0, 1) for a in range(k) for b in range(a + 1, k)})
+    )
+    s = star([c2] * k, [(0, 1)] * (k - 1))
+    t0 = time.monotonic()
+    assert wbk.are_isomorphic(chain, s) is None
+    assert time.monotonic() - t0 < 1.0
+    perm = list(range(s.order))
+    random.Random(12).shuffle(perm)
+    t = wbk.relabel(s, perm)
+    t0 = time.monotonic()
+    wit = wbk.are_isomorphic(s, t)
+    assert time.monotonic() - t0 < 1.0
+    assert wit is not None and carries_both_tables(s, t, wit.global_map)
 
 
 def test_are_isomorphic_property():

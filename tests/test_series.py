@@ -227,6 +227,33 @@ def test_sandwich_command_builds_each_quotient_once(built, c3_sym3, tmp_path, ca
     capsys.readouterr()
 
 
+def test_sandwich_runs_each_socle_step_once(c3_sym3, tmp_path, capsys, monkeypatch):
+    # the check takes the command's annihilator series instead of running it again
+    calls = []
+    real = series._socle_step
+
+    def counting(s, prev, use_right_dots):
+        calls.append(prev)
+        return real(s, prev, use_right_dots)
+
+    monkeypatch.setattr(series, "_socle_step", counting)
+    path = tmp_path / "in.json"
+    checked = 0
+    for name, s in _memo_corpus(c3_sym3):
+        path.write_text(wbk.dumps(s), encoding="utf-8")
+        ann = wbk.annihilator_series(s)
+        runs = [lambda: main(["sandwich", "--input", str(path)])]
+        if ann.terminated:
+            runs.append(lambda: wbk.verify_sandwich(s, ann.chain))
+            checked += 1
+        for run in runs:
+            calls.clear()
+            run()
+            assert calls == list(_stepped(ann)), name
+    assert checked >= 3
+    capsys.readouterr()
+
+
 def test_quotient_memo_is_keyed_by_the_ideal():
     # the pullback of the quotient's idempotents is the ideal itself, so a
     # memo that hands back the quotient by another ideal shows
