@@ -262,17 +262,15 @@ def _cmd_iso(args) -> Report:
     return Report("iso", "pass", lines, [list(wit.global_map)])
 
 
+_SERIES = {"right": series.right_series, "socle": series.socle_series, "ann": series.annihilator_series}
+
+
 def _cmd_series(args) -> Report:
+    if args.which != "gamma" and args.members is not None:
+        raise UsageError(f"--members applies to series gamma only, not series {args.which}")
     s = _as_dual(_load_one(args))
-    if args.which == "right":
-        rep = series.right_series(s)
-    elif args.which == "socle":
-        rep = series.socle_series(s)
-    elif args.which == "ann":
-        rep = series.annihilator_series(s)
-    else:
-        start = _members(args, s.order) if args.members is not None else None
-        rep = series.gamma_series(s, start)
+    start = None if args.members is None else _members(args, s.order)
+    rep = series.gamma_series(s, start) if args.which == "gamma" else _SERIES[args.which](s)
     status = "pass" if rep.terminated else "info"
     return Report(
         "series",
@@ -356,8 +354,9 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if name == "series":
             p.add_argument("which", choices=["right", "socle", "ann", "gamma"])
-        p.add_argument("--input")
-        p.add_argument("--catalog")
+        if name != "catalog":
+            p.add_argument("--input")
+            p.add_argument("--catalog")
         if name in ("homs", "iso"):
             p.add_argument("--input2")
             p.add_argument("--catalog2")
@@ -366,14 +365,15 @@ def _parser() -> argparse.ArgumentParser:
         if name == "ideals":
             p.add_argument("--mode", choices=["auto", "exhaustive", "closure"], default="auto")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--limit", type=int)
+        if name in ("solve", "ideals", "homs"):
+            p.add_argument("--limit", type=int)
     return top
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.limit is not None and args.limit < 0:
+        if (getattr(args, "limit", None) or 0) < 0:
             raise UsageError(f"--limit must not be negative, got {args.limit}")
         report = COMMANDS[args.command](args)
     except (UsageError, ParseError, UnknownName, OrderTooLarge) as err:

@@ -238,23 +238,19 @@ def quotient(s: DualWeakBrace, ideal) -> QuotientStructure:
     """S/I with least-index class representatives."""
     ideal = frozenset(ideal)
     _require_ideal(s, ideal)
-    n = s.order
-    proj: list[int | None] = [None] * n
+    add, mul, comp = s.add.op, s.mul.op, s.component_of
+    proj: list[int | None] = [None] * s.order
     reps: list[int] = []
-    for a in range(n):
-        if proj[a] is not None:
-            continue
-        c = len(reps)
-        reps.append(a)
-        za = s.zero_part(a)
-        for b in range(a, n):
-            if proj[b] is None and s.zero_part(b) == za and s.plus(s.neg(a), b) in ideal:
-                proj[b] = c
-    qadd, qmul = _induced(s.add.op, reps, proj), _induced(s.mul.op, reps, proj)
-    for a in range(n):
-        for b in range(n):
-            if proj[s.plus(a, b)] != qadd[proj[a]][proj[b]] or proj[s.times(a, b)] != qmul[proj[a]][proj[b]]:
-                raise InternalInvariantBroken("relation is not a congruence for this subset")
+    for a in range(s.order):
+        if proj[a] is None:
+            # class of a = (a + I) in its component: -a + (a + i) = e_a + i in I, b = a + (-a + b)
+            for b in map(add[a].__getitem__, ideal):
+                if comp[b] == comp[a]:
+                    proj[b] = len(reps)
+            reps.append(a)
+    qadd, qmul = _induced(add, reps, proj), _induced(mul, reps, proj)
+    if _first_non_hom(proj, ((add, qadd), (mul, qmul))) is not None:
+        raise InternalInvariantBroken("relation is not a congruence for this subset")
     q = validate_dual_weak_brace(qadd, qmul)
     if len(q.idempotents) != len(s.idempotents):
         raise InternalInvariantBroken("quotient congruence is not idempotent separating")
@@ -329,8 +325,8 @@ def image(s: DualWeakBrace, t: DualWeakBrace, f) -> frozenset:
 
 def first_isomorphism_check(s: DualWeakBrace, t: DualWeakBrace, f) -> bool:
     """S/ker f maps bijectively onto im f through the induced map."""
-    f = verify_hom(s, t, f)
-    q = quotient(s, kernel(s, t, f))
+    f = tuple(f)
+    q = quotient(s, kernel(s, t, f))  # kernel verifies f
     induced = tuple(f[rep] for rep in q.class_rep)
     if any(induced[q.projection[a]] != f[a] for a in range(s.order)):
         return False

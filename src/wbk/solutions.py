@@ -14,7 +14,7 @@ from operator import getitem
 
 from .braces import DualWeakBrace
 from .errors import NoPeriod, ValidationError
-from .tables import SemilatticeTable, _gather, _glue, _validate_hom_system
+from .tables import SemilatticeTable, _first_non_hom, _gather, _glue, _validate_hom_system
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,13 @@ def identity_solution(n: int) -> SolutionTable:
 
 def compose_solutions(r2: SolutionTable, r1: SolutionTable) -> SolutionTable:
     """(r2 after r1) as maps on pairs."""
-    return solution_table(r1.order, lambda a, b: r2.apply(*r1.apply(a, b)))
+    p = r2.pairs
+    return SolutionTable(r1.order, tuple(tuple(p[u][v] for u, v in row) for row in r1.pairs))
+
+
+def _split(r: SolutionTable) -> tuple[list, list]:
+    """The tables L and R of r(x, y) = (L[x][y], R[x][y]), as tuple rows."""
+    return [tuple(u for u, _ in row) for row in r.pairs], [tuple(v for _, v in row) for row in r.pairs]
 
 
 def check_braid(r: SolutionTable) -> tuple[int, int, int] | None:
@@ -55,8 +61,7 @@ def check_braid(r: SolutionTable) -> tuple[int, int, int] | None:
     q = R[a][L[b][c]], is (L[a][L[b][c]], L[q][R[b][c]], R[q][R[b][c]]).
     """
     n = r.order
-    lam = [tuple(u for u, _ in row) for row in r.pairs]
-    rho = [tuple(v for _, v in row) for row in r.pairs]
+    lam, rho = _split(r)
     after = [_gather(row) for row in lam]  # after[y](f) = c -> f[L[y][c]]
     for a, b in product(range(n), repeat=2):
         u, v = r.pairs[a][b]
@@ -165,14 +170,13 @@ def strong_semilattice_of_solutions(
     per comparable pair presence, shape, then equivariance; then maps for no
     comparable pair (unexpected_hom); then transitive composition.
     """
+    split = [_split(r) for r in solutions]
 
     def equivariant(alpha: int, beta: int, f) -> None:
-        ra, rb = solutions[alpha], solutions[beta]
-        for x in range(ra.order):
-            for z in range(ra.order):
-                u, v = ra.apply(x, z)
-                if rb.apply(f[x], f[z]) != (f[u], f[v]):
-                    raise ValidationError("equivariance", (alpha, beta, x, z))
+        # f carries r_alpha to r_beta exactly when it carries both L and R
+        bad = _first_non_hom(f, tuple(zip(split[alpha], split[beta])))
+        if bad is not None:
+            raise ValidationError("equivariance", (alpha, beta, *bad[:2]))
 
     orders = [r.order for r in solutions]
     homs = _validate_hom_system(y, orders, maps, equivariant)

@@ -186,12 +186,31 @@ def test_solve_rows_and_limit(capsys):
 
 def test_negative_limit_is_a_usage_error(capsys):
     homs = ("homs", "--catalog", "c3_trivial", "--catalog2", "sym3_trivial")
-    for argv in (("ideals", "--catalog", "z6_exotic", "--limit", "-1"), (*homs, "--limit", "-2"),
-                 ("braid", "--catalog", "z6_exotic", "--limit", "-1")):
+    for argv in (("ideals", "--catalog", "z6_exotic", "--limit", "-1"), (*homs, "--limit", "-2")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == [] and "--limit must not be negative" in err, argv
     code, out, _ = run(capsys, *homs, "--limit", "0")
     assert code == 0 and out == ["count: 3", "truncated", "status: pass"]
+
+
+def test_options_exist_only_where_they_are_read(capsys):
+    # --limit cuts only the listings of solve, ideals and homs; catalog reads
+    # no input; only series gamma starts from --members
+    for argv in (
+        ("braid", "--catalog", "z6_exotic", "--limit", "-1"),
+        ("braid", "--catalog", "z6_exotic", "--limit", "5"),
+        ("catalog", "--input", "/nonexistent"),
+        ("catalog", "--catalog", "z6_exotic"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    for which in ("right", "socle", "ann"):
+        code, out, err = run(capsys, "series", which, "--catalog", "z6_exotic", "--members", "0,1")
+        assert code == 2 and out == [] and "--members applies to series gamma only" in err, which
+    done = _cold("-m", "wbk.cli", "braid", "--catalog", "z6_exotic", "--limit", "5")
+    assert done.returncode == 2 and done.stdout == "" and "Traceback" not in done.stderr
 
 
 def test_special_sets(capsys):

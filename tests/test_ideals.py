@@ -186,6 +186,67 @@ def test_post_check_catches_a_broken_image_table(monkeypatch, z6):
             wbk.enumerate_ideals(z6, mode)
 
 
+def _sym3_cyclic():
+    """(S, +) = sym3 and (S, ∘) cyclic of order 6: a∘b = a + (-t + b + t)
+    with t = 1 for the transpositions a in {1, 2, 5}, a + b otherwise.
+
+    {0, 1} is lambda-invariant and a normal subgroup of (S, ∘), but not
+    normal in (S, +); only the + conjugates -a + i + a tell it apart."""
+    mul = [
+        [0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 1, 0],
+        [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 0, 1, 2, 3],
+    ]
+    return wbk.validate_skew_brace(wbk.catalog_get("sym3").op, mul).as_dual()
+
+
+def test_ideal_images_need_the_add_conjugate(monkeypatch):
+    s = _sym3_cyclic()
+    x = frozenset({0, 1})
+    assert wbk.is_left_ideal(s, x) and is_normal_subsemigroup(s, x, "mul")
+    chk = wbk.is_ideal(s, x)
+    assert (chk.law, chk.witness) == ("not_normal", (2, 1))
+    for mode in ("exhaustive", "closure"):
+        assert [sorted(i) for i in wbk.enumerate_ideals(s, mode).ideals] == [[0], [0, 3, 4], list(range(6))]
+
+    def without_add_conjugate(s):
+        # ideals._ideal_images with the -a + i + a term left out
+        add, mul, neg, minv = s.add.op, s.mul.op, s.add.inv, s.mul.inv
+        out = []
+        for i in range(s.order):
+            m = 1 << neg[i]
+            for a in range(s.order):
+                m |= 1 << add[neg[a]][mul[a][i]] | 1 << mul[mul[minv[a]][i]][a]
+            out.append(m)
+        return out
+
+    monkeypatch.setattr(ideals, "_ideal_images", without_add_conjugate)
+    for mode in ("exhaustive", "closure"):
+        with pytest.raises(InternalInvariantBroken, match=f"{mode} candidate is not an ideal"):
+            wbk.enumerate_ideals(s, mode)
+
+
+def test_quotient_classes_match_the_definition(all_structures):
+    cases = list(all_structures)
+    cases += [(name + " opposite", s.opposite()) for name, s in all_structures]
+    cases += [("chain (12, 6, 2)", exotic_chain((12, 6, 2))), ("non-chain", non_chain())]
+    cases += [("sym3 + / Z6 ∘", _sym3_cyclic())]
+    built = 0
+    for name, s in cases:
+        for ideal in wbk.enumerate_ideals(s).ideals:
+            # a ~ b iff equal zero parts and -a + b in I; least[a] = min of a's class
+            least = [
+                min(b for b in range(s.order) if s.zero_part(b) == s.zero_part(a) and s.plus(s.neg(a), b) in ideal)
+                for a in range(s.order)
+            ]
+            reps = sorted(set(least))
+            q = wbk.quotient(s, ideal)
+            assert q.class_rep == tuple(reps), (name, sorted(ideal))
+            assert q.projection == tuple(map(reps.index, least)), (name, sorted(ideal))
+            assert q.quotient.order == len(reps), (name, sorted(ideal))
+            built += 1
+    assert built > 90
+
+
 def test_special_sets_and_commutation_match_their_definitions(all_structures):
     cases = list(all_structures)
     cases += [(name + " opposite", s.opposite()) for name, s in all_structures]
@@ -307,7 +368,7 @@ def test_enumerate_ideals_matches_subset_oracle(all_structures):
     cases += [(f"Z{n}", _cyclic(n)) for n in range(1, 13)]
     cases += [(f"chain {c}", exotic_chain(c)) for c in _divisor_chains(12)]
     cases += [("(Z2)^3", _elementary(3)), ("(Z2)^4", _elementary(4))]
-    cases += [("exotic Z16", exotic(16).as_dual())]
+    cases += [("exotic Z16", exotic(16).as_dual()), ("sym3 + / Z6 ∘", _sym3_cyclic())]
     for name, s in cases:
         want = _by_size(_passing_supersets(s, wbk.is_ideal))
         for mode in ("exhaustive", "closure"):
@@ -381,6 +442,7 @@ def test_predicates_follow_the_law_ladder(all_structures):
     # subgroup can fail + normality and lambda invariance at once
     structures = list(all_structures)
     structures += [(name + " opposite", s.opposite()) for name, s in all_structures]
+    structures += [("sym3 + / Z6 ∘", _sym3_cyclic())]
     checked = 0
     for name, s in structures:
         if s.order <= 6:
@@ -407,4 +469,4 @@ def test_predicates_follow_the_law_ladder(all_structures):
             )
             assert _tier(s, x) == tier, (name, sorted(x))
             checked += 1
-    assert checked == 2 * (64 * 4 + 16 * 2 + 8 * 2 + 4 * 2 + 2 ** 7)
+    assert checked == 2 * (64 * 4 + 16 * 2 + 8 * 2 + 4 * 2 + 2 ** 7) + 64

@@ -1,16 +1,18 @@
-"""The three cubic law checks against per-triple brute-force oracles.
+"""The table kernels against brute-force oracles.
 
 Associativity (Light's test on a generating set), compatibility (on a
 generating set of (S, +)) and the braid check (one row over c per (a, b))
 must agree with a plain lexicographic scan of every triple: same verdict,
-law, witness and side.
+law, witness and side.  The equivariance check of glued solutions must
+agree with a scan of every pair, and composition of solutions with its
+per-entry definition.
 """
 
 import random
 from itertools import product
 
 import pytest
-from conftest import exotic, exotic_chain, relabelled_table
+from conftest import exotic, exotic_chain, exotic_chain_spec, relabelled_table
 
 import wbk
 from wbk import SolutionTable, ValidationError, braces, tables
@@ -219,3 +221,52 @@ def test_check_braid_property():
         assert wbk.check_braid(bad) == _braid_scan(bad)
 
     check()
+
+
+def _equivariance_scan(y, sols, maps):
+    """The least (alpha, beta, x, z), pairs in comparable_pairs order, with
+    r_beta(f x, f z) != (f u, f v) for (u, v) = r_alpha(x, z); None if none."""
+    for alpha, beta in y.comparable_pairs():
+        f, ra, rb = maps[(alpha, beta)], sols[alpha], sols[beta]
+        for x, z in product(range(ra.order), repeat=2):
+            u, v = ra.apply(x, z)
+            if rb.apply(f[x], f[z]) != (f[u], f[v]):
+                return (alpha, beta, x, z)
+    return None
+
+
+def test_equivariance_witness_matches_scan():
+    rng = random.Random(23)
+    seen = set()
+    for orders in ((4, 2), (6, 2, 2), (8, 4, 2), (12, 6, 2), (8, 4, 4, 2)):
+        spec = exotic_chain_spec(orders)
+        sols = [wbk.solution_of(b.as_dual()) for b in spec.braces]
+        assert wbk.strong_semilattice_of_solutions(spec.y, sols, spec.homs).order == sum(orders)
+        for _ in range(40):
+            maps = {key: list(f) for key, f in spec.homs.items()}
+            for _ in range(rng.randrange(1, 3)):
+                alpha, beta = rng.choice(sorted(maps))
+                maps[(alpha, beta)][rng.randrange(orders[alpha])] = rng.randrange(orders[beta])
+            want = _equivariance_scan(spec.y, sols, maps)
+            try:
+                wbk.strong_semilattice_of_solutions(spec.y, sols, maps)
+            except ValidationError as err:
+                got = err.witness if err.law == "equivariance" else None
+            else:
+                got = None
+            assert got == want, (orders, maps)
+            seen.add(got)
+    # many distinct witnesses, some off the diagonal x = z
+    assert len(seen) > 15 and any(w is not None and w[2] != w[3] for w in seen)
+
+
+def test_compose_solutions_matches_the_definition():
+    rng = random.Random(24)
+    for _ in range(300):
+        m = rng.randrange(1, 6)
+        r1, r2 = (
+            SolutionTable(m, tuple(tuple((rng.randrange(m), rng.randrange(m)) for _ in range(m)) for _ in range(m)))
+            for _ in range(2)
+        )
+        want = tuple(tuple(r2.apply(*r1.apply(a, b)) for b in range(m)) for a in range(m))
+        assert wbk.compose_solutions(r2, r1) == SolutionTable(m, want), (r2, r1)
