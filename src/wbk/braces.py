@@ -4,12 +4,13 @@ A skew brace pairs two group tables sharing an identity; a dual weak brace
 pairs two Clifford tables sharing their idempotents.  Both satisfy
 a*(b+c) = a*b - a + a*c; dual weak braces additionally satisfy
 a*a' = -a + a, which ties the two notions of "loss of invertibility"
-together.  Derived maps (lam, rho, dot, commutators) live here too.
+together.  Derived maps (lam, rho, dot, commutators) live here as cached tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InternalInvariantBroken, ValidationError
 from .tables import (
@@ -76,25 +77,45 @@ class DualWeakBrace:
         return self.mul.inv[a]
 
     def lam(self, a: int, b: int) -> int:
-        """lam_a(b) = -a + a*b."""
-        return self.add.op[self.add.inv[a]][self.mul.op[a][b]]
+        return self._lam[a][b]
 
     def rho(self, b: int, a: int) -> int:
-        """rho_b(a) = (lam_a(b))' * a * b, inverses taken in mul."""
-        lab = self.lam(a, b)
-        return self.mul.op[self.mul.op[self.mul.inv[lab]][a]][b]
+        return self._rho[b][a]
 
     def dot(self, a: int, b: int) -> int:
-        """a.b = -a + a*b - b, the gap between the two operations."""
-        return self.add.op[self.lam(a, b)][self.add.inv[b]]
+        return self._dot[a][b]
 
     def add_commutator(self, a: int, b: int) -> int:
-        """[a,b]+ = -a - b + a + b."""
-        na, nb = self.add.inv[a], self.add.inv[b]
-        return self.add.op[self.add.op[self.add.op[na][nb]][a]][b]
+        return self._add_commutator[a][b]
 
     def zero_part(self, a: int) -> int:
         return self.add.zero_of(a)
+
+    # -- derived tables: built on first use and kept; list rows, never mutated
+
+    @cached_property
+    def _lam(self) -> list[list[int]]:
+        """[a][b] = lam_a(b) = -a + a*b."""
+        aop, neg = self.add.op, self.add.inv
+        return [list(map(aop[neg[a]].__getitem__, row)) for a, row in enumerate(self.mul.op)]
+
+    @cached_property
+    def _rho(self) -> list[list[int]]:
+        """[b][a] = rho_b(a) = (lam_a(b))' * a * b, inverse in mul: row b is rho_b."""
+        mop, minv, lam, n = self.mul.op, self.mul.inv, self._lam, self.order
+        return [[mop[mop[minv[lam[a][b]]][a]][b] for a in range(n)] for b in range(n)]
+
+    @cached_property
+    def _dot(self) -> list[list[int]]:
+        """[a][b] = a.b = -a + a*b - b = lam_a(b) - b."""
+        aop, neg = self.add.op, self.add.inv
+        return [[aop[x][neg[b]] for b, x in enumerate(row)] for row in self._lam]
+
+    @cached_property
+    def _add_commutator(self) -> list[list[int]]:
+        """[a][b] = [a,b]+ = -a - b + a + b."""
+        aop, neg, n = self.add.op, self.add.inv, self.order
+        return [[aop[aop[aop[neg[a]][neg[b]]][a]][b] for b in range(n)] for a in range(n)]
 
     # -- structure-level helpers --------------------------------------------
 

@@ -46,7 +46,7 @@ class Check:
 
 
 def _check_members(order: int, x) -> None:
-    bad = [a for a in x if not isinstance(a, int) or not 0 <= a < order]
+    bad = [a for a in x if type(a) is not int or not 0 <= a < order]
     if bad:
         raise ValueError(f"subset members out of range: {sorted(bad)!r}")
 
@@ -86,11 +86,9 @@ def _normal(side: str, s: DualWeakBrace, x: frozenset, mem: list) -> Check | Non
 
 def _lambda_invariant(s: DualWeakBrace, x: frozenset, mem: list) -> Check | None:
     """lam_a(i) = -a + a*i stays in x for every a and member i."""
-    add, mul = s.add, s.mul
-    for a in range(s.order):
-        neg_a, row = add.op[add.inv[a]], mul.op[a]
+    for a, row in enumerate(s._lam):
         for i in mem:
-            if neg_a[row[i]] not in x:
+            if row[i] not in x:
                 return Check(False, "not_lambda_invariant", (a, i))
     return None
 
@@ -199,18 +197,16 @@ def product_set(s: DualWeakBrace, x, y) -> frozenset:
     """X.Y: the full inverse subsemigroup of (S,+) generated by all dots x.y."""
     _check_members(s.order, x)
     _check_members(s.order, y)
-    return generated_full_inverse_subsemigroup(
-        s, {s.dot(i, j) for i in x for j in y}
-    )
+    dot = s._dot
+    return generated_full_inverse_subsemigroup(s, {dot[i][j] for i in x for j in y})
 
 
 def commutator_set(s: DualWeakBrace, x, y) -> frozenset:
     """[X,Y]+: generated by the additive commutators across the two subsets."""
     _check_members(s.order, x)
     _check_members(s.order, y)
-    return generated_full_inverse_subsemigroup(
-        s, {s.add_commutator(i, j) for i in x for j in y}
-    )
+    comm = s._add_commutator
+    return generated_full_inverse_subsemigroup(s, {comm[i][j] for i in x for j in y})
 
 
 def sum_of_ideals(s: DualWeakBrace, i, j) -> frozenset:
@@ -287,13 +283,14 @@ def is_sub_dual_weak_brace(t: DualWeakBrace, members, strict: bool = False) -> C
         for e in t.idempotents:
             if e not in x:
                 return Check(False, "missing_idempotent", (e,))
-    for a in sorted(x):
+    mem = sorted(x)
+    for a in mem:
         if t.zero_part(a) not in x:
             return Check(False, "missing_zero_part", (a,))
         if t.neg(a) not in x or t.minv(a) not in x:
             return Check(False, "no_inverse", (a,))
-    for a in sorted(x):
-        for b in sorted(x):
+    for a in mem:
+        for b in mem:
             if t.plus(a, b) not in x or t.times(a, b) not in x:
                 return Check(False, "not_closed", (a, b))
     return Check(True)
@@ -341,13 +338,12 @@ def first_isomorphism_check(s: DualWeakBrace, t: DualWeakBrace, f) -> bool:
 def _ideal_images(s: DualWeakBrace) -> list[int]:
     """Per element i, the bitmask of -i and, over every a, of lam_a(i) and
     the conjugates -a + i + a and a' * i * a."""
-    add, mul, neg, minv = s.add.op, s.mul.op, s.add.inv, s.mul.inv
+    add, mul, neg, minv, lam = s.add.op, s.mul.op, s.add.inv, s.mul.inv, s._lam
     out = []
     for i in range(s.order):
         m = 1 << neg[i]
         for a in range(s.order):
-            left = add[neg[a]]
-            m |= 1 << left[mul[a][i]] | 1 << add[left[i]][a] | 1 << mul[mul[minv[a]][i]][a]
+            m |= 1 << lam[a][i] | 1 << add[add[neg[a]][i]][a] | 1 << mul[mul[minv[a]][i]][a]
         out.append(m)
     return out
 

@@ -60,15 +60,13 @@ def right_series(s: DualWeakBrace) -> SeriesReport:
 
 
 def _socle_step(s: DualWeakBrace, prev: frozenset, use_right_dots: bool) -> frozenset:
-    n = s.order
-    out = set()
-    for a in range(n):
-        ok = all(s.dot(a, b) in prev and s.add_commutator(a, b) in prev for b in range(n))
-        if ok and use_right_dots:
-            ok = all(s.dot(b, a) in prev for b in range(n))
-        if ok:
-            out.add(a)
-    return frozenset(out)
+    """The a whose dot row and commutator row lie in prev and, with
+    use_right_dots, whose dot column does too."""
+    dot, comm = s._dot, s._add_commutator
+    keep = [a for a in range(s.order) if prev.issuperset(dot[a]) and prev.issuperset(comm[a])]
+    if use_right_dots:
+        keep = [a for a in keep if prev.issuperset(row[a] for row in dot)]
+    return frozenset(keep)
 
 
 def _quotients(s: DualWeakBrace):

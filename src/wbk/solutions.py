@@ -33,7 +33,8 @@ def solution_table(order: int, fn) -> SolutionTable:
 
 
 def solution_of(s: DualWeakBrace) -> SolutionTable:
-    return solution_table(s.order, lambda a, b: (s.lam(a, b), s.rho(b, a)))
+    """r(a, b) = (lam_a(b), rho_b(a)): row a pairs lam row a with rho column a."""
+    return SolutionTable(s.order, tuple(tuple(zip(lr, rc)) for lr, rc in zip(s._lam, zip(*s._rho))))
 
 
 def identity_solution(n: int) -> SolutionTable:
@@ -120,16 +121,13 @@ def check_regularity(s: DualWeakBrace) -> RegularityReport:
     """Pointwise f f' f = f, f' f f' = f', f f' = f' f for every lam_a and
     rho_a, with f' the map of the mul-inverse element.  Bijectivity of each
     map is reported as a diagnostic only."""
-    n = s.order
-    lam_rows = [tuple(s.lam(a, b) for b in range(n)) for a in range(n)]
-    rho_rows = [tuple(s.rho(a, b) for b in range(n)) for a in range(n)]
+    n, lam_rows, rho_rows = s.order, s._lam, s._rho
 
     def comp(f, g):
-        return tuple(f[g[x]] for x in range(n))
+        return [f[x] for x in g]  # a list, like the rows it is compared with
 
     witness = None
-    for a in range(n):
-        ai = s.minv(a)
+    for a, ai in enumerate(s.mul.inv):
         for name, rows in (("lambda", lam_rows), ("rho", rho_rows)):
             f, g = rows[a], rows[ai]
             if comp(comp(f, g), f) != f:

@@ -1,9 +1,10 @@
 """Brace validation, the derived maps, and exhaustive law checks."""
 
 import pytest
+from conftest import exotic, exotic_chain, non_chain
 
 import wbk
-from wbk import ValidationError, validate_dual_weak_brace, validate_skew_brace
+from wbk import DualWeakBrace, ValidationError, validate_dual_weak_brace, validate_skew_brace
 
 C4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
 # another order-4 group on the same labels; paired with C4 it breaks the
@@ -76,6 +77,62 @@ def test_z6_derived_maps(z6):
     assert all(z6.add_commutator(a, b) == 0 for a in range(6) for b in range(6))
     assert z6.is_skew() and z6.is_brace()
     assert z6.zero_part(5) == 0
+
+
+def _inverses(op):
+    """The inverse of each a in a Clifford table: the x with a+x+a = a and x+a+x = x."""
+    n = len(op)
+    return [next(x for x in range(n) if op[op[a][x]][a] == a and op[op[x][a]][x] == x) for a in range(n)]
+
+
+def _oracle_tables(add, mul):
+    """The derived tables from the raw + and * tables alone, keyed by the
+    attribute that holds each."""
+    n, neg, minv = len(add), _inverses(add), _inverses(mul)
+    rn = range(n)
+    lam = [[add[neg[a]][mul[a][b]] for b in rn] for a in rn]
+    return {
+        "_lam": lam,
+        # row b is the map rho_b: [b][a] = (lam_a(b))' * a * b
+        "_rho": [[mul[mul[minv[lam[a][b]]][a]][b] for a in rn] for b in rn],
+        "_dot": [[add[add[neg[a]][mul[a][b]]][neg[b]] for b in rn] for a in rn],
+        "_add_commutator": [[add[add[add[neg[a]][neg[b]]][a]][b] for b in rn] for a in rn],
+    }
+
+
+def _table_cases(all_structures):
+    elementary = [[a ^ b for b in range(8)] for a in range(8)]
+    cases = list(all_structures)
+    cases += [(f"exotic Z{n}", exotic(n).as_dual()) for n in range(2, 17, 2)]
+    cases += [("(Z2)^3", validate_skew_brace(elementary, elementary).as_dual())]
+    cases += [(f"chain {c}", exotic_chain(c)) for c in ((4, 2), (8, 4, 2), (12, 6, 2))]
+    cases += [("non-chain", non_chain())]
+    return cases + [(f"{name} op", s.opposite()) for name, s in cases]
+
+
+def test_derived_tables_match_an_oracle_on_the_raw_tables(all_structures):
+    rho_asymmetric = False
+    for name, s in _table_cases(all_structures):
+        fresh = DualWeakBrace(s.add, s.mul, s.idempotents, s.component_of)
+        before = hash(fresh)
+        want = _oracle_tables(fresh.add.op, fresh.mul.op)
+        for attr, table in want.items():
+            # == on nested lists also pins the row type: a tuple row is never == a list
+            assert getattr(fresh, attr) == table, (name, attr)
+            assert getattr(fresh, attr) is getattr(fresh, attr), (name, attr)
+        n = s.order
+        for a in range(n):
+            for b in range(n):
+                assert fresh.lam(a, b) == want["_lam"][a][b], name
+                assert fresh.rho(b, a) == want["_rho"][b][a], name
+                assert fresh.dot(a, b) == want["_dot"][a][b], name
+                assert fresh.add_commutator(a, b) == want["_add_commutator"][a][b], name
+        rho_asymmetric |= want["_rho"] != [list(col) for col in zip(*want["_rho"])]
+        # the cached tables stay out of equality and hashing, which classify's memo keys on
+        assert hash(fresh) == before and fresh == s, name
+        assert fresh == DualWeakBrace(s.add, s.mul, s.idempotents, s.component_of), name
+    # a transposed rho table must be told apart somewhere
+    assert rho_asymmetric
 
 
 def test_glued_structure_shape(c3_sym3):

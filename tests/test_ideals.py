@@ -70,6 +70,9 @@ def test_member_range_guard(z6):
         wbk.is_ideal(z6, frozenset({0, 6}))
     with pytest.raises(ValueError):
         wbk.product_set(z6, {0, -1}, {0})
+    # True equals and hashes as 1: only a type test keeps it out
+    with pytest.raises(ValueError):
+        wbk.is_ideal(z6, [True, 0, 2, 4])
 
 
 def test_ideal_closure_is_minimal(z6, c3_sym3):
