@@ -18,12 +18,12 @@ from .tables import (
     FiniteGroupTable,
     SemilatticeTable,
     _centre,
-    _clifford_and_gens,
     _first_row_failure,
     _gather,
-    _group_and_gens,
     _induced,
     clifford_of_group,
+    validate_clifford,
+    validate_group,
     validate_semilattice,
 )
 
@@ -144,15 +144,16 @@ class DualWeakBrace:
             raise InternalInvariantBroken(f"opposite failed validation: {err}") from err
 
 
-def _check_compatibility(add: CliffordTable, mul: CliffordTable, gens) -> None:
-    """Raise at the least (a, b, c) with a*(b+c) != a*b - a + a*c; gens
-    generates (S, +).
+def _check_compatibility(add: CliffordTable, mul: CliffordTable) -> None:
+    """Raise at the least (a, b, c) with a*(b+c) != a*b - a + a*c, checking
+    b in add.gens only.
 
     + is associative here (both validators check it first), and then
     Q = {b : a*(b+c) = a*b - a + a*c for all a, c} is closed under +: for
     b, b' in Q, a*((b+b')+c) = a*(b+(b'+c)) = a*b - a + a*b' - a + a*c
     = a*(b+b') - a + a*c.  So Q is everything once it holds a generating
-    set of (S, +).
+    set of (S, +).  A group's gens may leave out the shared identity e,
+    which is in Q: a*(e+c) = a*c = a*e - a + a*c.
     """
     aop, mop, neg = add.op, mul.op, add.inv
     gather_add = [_gather(row) for row in aop]
@@ -160,16 +161,15 @@ def _check_compatibility(add: CliffordTable, mul: CliffordTable, gens) -> None:
 
     def rows(a: int, b: int) -> tuple:
         # c -> a*(b+c) and c -> (a*b - a) + a*c
-        return gather_add[b](mop[a]), gather_mul[a](aop[aop[mop[a][b]][neg[a]]])
+        return (gather_add[b](mop[a]),), (gather_mul[a](aop[aop[mop[a][b]][neg[a]]]),)
 
-    bad = _first_row_failure(add.order, gens, rows)
+    bad = _first_row_failure(add.order, add.gens, rows)
     if bad is not None:
         raise ValidationError("compatibility", bad)
 
 
 def _validate_sides(validate, add_raw, mul_raw) -> tuple:
-    """Validate each table, tagging a failure with the side it came from;
-    validate returns a (table, generating set) pair."""
+    """Validate each table, tagging a failure with the side it came from."""
     out = []
     for side, raw in (("add", add_raw), ("mul", mul_raw)):
         try:
@@ -181,19 +181,19 @@ def _validate_sides(validate, add_raw, mul_raw) -> tuple:
 
 def validate_skew_brace(add_raw, mul_raw) -> SkewBrace:
     """Validate both group tables, the shared identity, and compatibility."""
-    (add, gens), (mul, _) = _validate_sides(_group_and_gens, add_raw, mul_raw)
+    add, mul = _validate_sides(validate_group, add_raw, mul_raw)
     if add.order != mul.order:
         raise ValidationError("order_mismatch", (add.order, mul.order))
     if add.identity != mul.identity:
         raise ValidationError("identity_mismatch", (add.identity, mul.identity))
-    _check_compatibility(clifford_of_group(add), clifford_of_group(mul), gens)
+    _check_compatibility(clifford_of_group(add), clifford_of_group(mul))
     return SkewBrace(add, mul)
 
 
 def validate_dual_weak_brace(add_raw, mul_raw) -> DualWeakBrace:
     """Validate both Clifford tables, idempotent agreement, compatibility,
     and a*a' = -a + a; fill the component map from zero parts."""
-    (add, gens), (mul, _) = _validate_sides(_clifford_and_gens, add_raw, mul_raw)
+    add, mul = _validate_sides(validate_clifford, add_raw, mul_raw)
     if add.order != mul.order:
         raise ValidationError("order_mismatch", (add.order, mul.order))
     if add.idempotents != mul.idempotents:
@@ -205,7 +205,7 @@ def validate_dual_weak_brace(add_raw, mul_raw) -> DualWeakBrace:
         circ = mul.op[a][mul.inv[a]]
         if circ != add.op[add.inv[a]][a] or circ != add.op[a][add.inv[a]]:
             raise ValidationError("second_axiom", (a,))
-    _check_compatibility(add, mul, gens)
+    _check_compatibility(add, mul)
     comp_idx = {e: i for i, e in enumerate(add.idempotents)}
     component_of = tuple(comp_idx[add.zero_of(a)] for a in range(n))
     return DualWeakBrace(add, mul, add.idempotents, component_of)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .braces import DualWeakBrace, SkewBrace, trivial_brace, validate_dual_weak_brace, validate_skew_brace
-from .compose import StrongSemilatticeSpec, validate_spec
+from .compose import StrongSemilatticeSpec, compose, validate_spec
 from .errors import UnknownName
 from .tables import validate_group
 
@@ -143,8 +143,6 @@ def catalog_specs() -> list[tuple[str, StrongSemilatticeSpec]]:
 
 def catalog_structures() -> list[tuple[str, DualWeakBrace]]:
     """Every catalog entry viewed as a dual weak brace (specs composed)."""
-    from .compose import compose
-
     out = []
     for e in _CATALOG.values():
         if e.kind == "skew_brace":

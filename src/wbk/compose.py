@@ -21,7 +21,6 @@ from .tables import (
     _induced,
     _iter_group_homs,
     _validate_hom_system,
-    enumerate_group_homs,
     validate_semilattice,
 )
 
@@ -86,17 +85,13 @@ def decompose(s: DualWeakBrace) -> StrongSemilatticeSpec:
     members = s.component_members()
     rank = {a: i for comp in members for i, a in enumerate(comp)}
 
-    braces = []
+    braces = []  # raw (add, mul) tables, validated by validate_spec
     for comp in members:
         local = {a: i for i, a in enumerate(comp)}
         try:
-            add, mul = _induced(s.add.op, comp, local), _induced(s.mul.op, comp, local)
+            braces.append((_induced(s.add.op, comp, local), _induced(s.mul.op, comp, local)))
         except KeyError:
             raise InternalInvariantBroken("component not closed under operation") from None
-        try:
-            braces.append(validate_skew_brace(add, mul))
-        except ValidationError as err:
-            raise InternalInvariantBroken(f"component is not a skew brace: {err}") from err
 
     homs = {}
     for alpha, beta in y.comparable_pairs():
@@ -108,25 +103,30 @@ def decompose(s: DualWeakBrace) -> StrongSemilatticeSpec:
                 raise InternalInvariantBroken("a + e and a * e disagree on a comparable pair")
             img.append(rank[v])
         homs[(alpha, beta)] = tuple(img)
-    return validate_spec(y, braces, homs)
+    try:
+        return validate_spec(y, braces, homs)
+    except ValidationError as err:
+        raise InternalInvariantBroken(f"rebuilt components or homs fail validation: {err}") from err
 
 
-def _brace_homs(a: SkewBrace, b: SkewBrace, mul_homs):
-    """The maps among mul_homs (homs a.mul -> b.mul) that also carry a.add
-    into b.add, lazily and in their order; the mul closure pins every value.
+def _brace_homs(a: SkewBrace, b: SkewBrace, injective: bool = False):
+    """The brace homs a -> b (injective ones only, with injective), lazily
+    and in lexicographic order: the homs a.mul -> b.mul that also carry
+    a.add into b.add; the mul closure pins every value.
 
     When + is ∘ on both sides (every trivial brace) there is nothing to
     filter: the hom search has already checked each map on that table pair.
     """
+    mul_homs = _iter_group_homs(a.mul, b.mul, injective)
     if a.add.op == a.mul.op and b.add.op == b.mul.op:
-        return iter(mul_homs)
+        return mul_homs
     adds = ((a.add.op, b.add.op),)
     return (f for f in mul_homs if _first_non_hom(f, adds) is None)
 
 
 def enumerate_skew_brace_homs(a: SkewBrace, b: SkewBrace) -> list[tuple[int, ...]]:
     """All maps preserving both tables, sorted lexicographically."""
-    return list(_brace_homs(a, b, enumerate_group_homs(a.mul, b.mul)))
+    return list(_brace_homs(a, b))
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,7 @@ def are_isomorphic(s: DualWeakBrace, t: DualWeakBrace) -> IsomorphismWitness | N
     def isos(alpha: int, beta: int):
         # every brace isomorphism B_alpha -> B'_beta, in lexicographic order,
         # searched only as far as some copy of this unread iterator reads
-        ba, bb = ds.braces[alpha], dt.braces[beta]
-        return tee(_brace_homs(ba, bb, _iter_group_homs(ba.mul, bb.mul, injective=True)), 1)[0]
+        return tee(_brace_homs(ds.braces[alpha], dt.braces[beta], injective=True), 1)[0]
 
     # squares[c]: the comparable pairs (hi, lo) with max(hi, lo) = c
     squares = [[(a, b) for a, b in ds.y.comparable_pairs() if max(a, b) == c] for c in range(k)]

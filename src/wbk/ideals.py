@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .braces import DualWeakBrace, validate_dual_weak_brace
+from .compose import decompose
 from .errors import (
     InternalInvariantBroken,
     NotAHom,
@@ -454,8 +455,6 @@ def ideal_decomposition(s: DualWeakBrace, ideal) -> IdealDecomposition:
     for alpha, comp in enumerate(members):
         part = frozenset(rank[a] for a in comp if a in ideal)
         out.append(part)
-    from .compose import decompose  # local import to avoid a cycle
-
     spec = decompose(s)
     for alpha, comp in enumerate(members):
         local = spec.braces[alpha].as_dual()

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from functools import cache, partial
 
 from .braces import DualWeakBrace
+from .compose import decompose
 from .errors import InternalInvariantBroken, NotAnnihilatorSeries
 from .ideals import (
     _require_ideal,
@@ -230,8 +231,6 @@ def classify(s: DualWeakBrace) -> Classification:
 
     Each distinct structure is classified once: a skew brace is its own
     single component, and equal components share one Classification."""
-    from .compose import decompose
-
     classify_one = cache(_classify_one)
     top = classify_one(s)
     comps = [classify_one(b.as_dual()) for b in decompose(s).braces]

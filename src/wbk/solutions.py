@@ -9,12 +9,11 @@ and power periodicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from operator import getitem
 
 from .braces import DualWeakBrace
 from .errors import NoPeriod, ValidationError
-from .tables import SemilatticeTable, _first_non_hom, _gather, _glue, _validate_hom_system
+from .tables import SemilatticeTable, _first_non_hom, _first_row_failure, _gather, _glue, _validate_hom_system
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,9 @@ def _split(r: SolutionTable) -> tuple[list, list]:
 def check_braid(r: SolutionTable) -> tuple[int, int, int] | None:
     """Least triple violating the braid identity, or None when it holds.
 
-    r12 r23 r12 = r23 r12 r23 is compared on all n^3 triples, one row over c
-    per (a, b) in lexicographic order.  With r(x, y) = (L[x][y], R[x][y])
+    r12 r23 r12 = r23 r12 r23 is compared on all n^3 triples by
+    _first_row_failure with every b as a generator, three rows over c per
+    (a, b), one per coordinate.  With r(x, y) = (L[x][y], R[x][y])
     and (u, v) = r(a, b), the left side at (a, b, c) is
     (L[u][L[v][c]], R[u][L[v][c]], R[v][c]) and the right side, with
     q = R[a][L[b][c]], is (L[a][L[b][c]], L[q][R[b][c]], R[q][R[b][c]]).
@@ -64,7 +64,8 @@ def check_braid(r: SolutionTable) -> tuple[int, int, int] | None:
     n = r.order
     lam, rho = _split(r)
     after = [_gather(row) for row in lam]  # after[y](f) = c -> f[L[y][c]]
-    for a, b in product(range(n), repeat=2):
+
+    def rows(a: int, b: int) -> tuple:
         u, v = r.pairs[a][b]
         q = _gather(after[b](rho[a]))  # q(rows) = c -> rows[R[a][L[b][c]]]
         lhs = (after[v](lam[u]), after[v](rho[u]), rho[v])
@@ -73,10 +74,9 @@ def check_braid(r: SolutionTable) -> tuple[int, int, int] | None:
             tuple(map(getitem, q(lam), rho[b])),
             tuple(map(getitem, q(rho), rho[b])),
         )
-        if lhs != rhs:
-            c = next(c for c in range(n) if [x[c] for x in lhs] != [y[c] for y in rhs])
-            return (a, b, c)
-    return None
+        return lhs, rhs
+
+    return _first_row_failure(n, range(n), rows)
 
 
 def is_bijective(r: SolutionTable) -> bool:

@@ -7,7 +7,7 @@ axiom with the lexicographically smallest witness tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product, starmap
 from operator import itemgetter
 
@@ -42,20 +42,21 @@ def _gather(idx):
 
 
 def _first_row_failure(n: int, gens, rows) -> tuple[int, int, int] | None:
-    """Least (a, b, c) with lhs[c] != rhs[c], (lhs, rhs) = rows(a, b), or None.
+    """Least (a, b, c) at which the two sides of a law differ, or None.
 
-    rows(a, b) gives both sides of a law in three variables as rows over c.
-    The caller proves that the law holds for every b once it holds for every
-    b in gens, so comparing those rows decides it.  Only when one of them
-    fails is every (a, b) scanned, in lexicographic order, for the least
-    witness.
+    rows(a, b) gives both sides of a law in three variables as equal-length
+    tuples of rows over c, one row per coordinate of the law's value; the
+    sides differ at c when any coordinate does.  The caller proves that the
+    law holds for every b once it holds for every b in gens, so comparing
+    those rows decides it.  Only when one of them fails is every (a, b)
+    scanned, in lexicographic order, for the least witness.
     """
     if all(lhs == rhs for lhs, rhs in starmap(rows, product(range(n), gens))):
         return None
     for a, b in product(range(n), repeat=2):
         lhs, rhs = rows(a, b)
         if lhs != rhs:
-            return (a, b, next(c for c in range(n) if lhs[c] != rhs[c]))
+            return (a, b, next(c for c in range(n) if any(x[c] != y[c] for x, y in zip(lhs, rhs))))
     return None
 
 
@@ -69,7 +70,7 @@ def _first_nonassoc(op, gens) -> tuple[int, int, int] | None:
     """
     gather = [_gather(row) for row in op]
     return _first_row_failure(
-        len(op), gens, lambda a, b: (op[op[a][b]], gather[b](op[a]))
+        len(op), gens, lambda a, b: ((op[op[a][b]],), (gather[b](op[a]),))
     )
 
 
@@ -81,12 +82,14 @@ def _centre(op) -> frozenset:
 
 @dataclass(frozen=True)
 class FiniteGroupTable:
-    """A finite group as a Cayley table with precomputed identity and inverses."""
+    """A finite group: Cayley table, identity, inverses, greedy generators."""
 
     order: int
     op: tuple[tuple[int, ...], ...]
     identity: int
     inv: tuple[int, ...]
+    # greedy generators over the identity (see _generators); not part of ==
+    gens: tuple[int, ...] = field(compare=False, repr=False)
 
     def exponent(self) -> int:
         """lcm of all element orders."""
@@ -219,24 +222,21 @@ class CliffordTable:
     op: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     idempotents: tuple[int, ...]
+    # greedy generators (see _generators); not part of ==
+    gens: tuple[int, ...] = field(compare=False, repr=False)
 
     def zero_of(self, a: int) -> int:
         """The idempotent a a' of a's group component."""
         return self.op[a][self.inv[a]]
 
     def transpose(self) -> "CliffordTable":
+        # _close closes under op in both orders, so the greedy set is shared
         t = tuple(tuple(self.op[b][a] for b in range(self.order)) for a in range(self.order))
-        return CliffordTable(self.order, t, self.inv, self.idempotents)
+        return CliffordTable(self.order, t, self.inv, self.idempotents, self.gens)
 
 
 def validate_group(raw) -> FiniteGroupTable:
     """Check closure, identity, inverses, associativity; raise on first failure."""
-    return _group_and_gens(raw)[0]
-
-
-def _group_and_gens(raw) -> tuple[FiniteGroupTable, list[int]]:
-    """validate_group, also returning the generating set that decided
-    associativity; the compatibility check reuses it."""
     op = _frozen_table(raw)
     n = len(op)
     ident = next(
@@ -251,11 +251,12 @@ def _group_and_gens(raw) -> tuple[FiniteGroupTable, list[int]]:
         if x is None:
             raise ValidationError("no_inverse", (a,))
         inv.append(x)
-    gens = _generators(op)
+    # Light's test may skip the identity: e is in K, since (ae)c = ac = a(ec)
+    gens = tuple(_generators(op, 1 << ident))
     bad = _first_nonassoc(op, gens)
     if bad is not None:
         raise ValidationError("not_associative", bad)
-    return FiniteGroupTable(n, op, ident, tuple(inv)), gens
+    return FiniteGroupTable(n, op, ident, tuple(inv), gens)
 
 
 def validate_semilattice(raw) -> SemilatticeTable:
@@ -277,15 +278,9 @@ def validate_semilattice(raw) -> SemilatticeTable:
 
 def validate_clifford(raw) -> CliffordTable:
     """Check associativity, unique pseudo-inverses, and a a' = a' a."""
-    return _clifford_and_gens(raw)[0]
-
-
-def _clifford_and_gens(raw) -> tuple[CliffordTable, list[int]]:
-    """validate_clifford, also returning the generating set that decided
-    associativity; the compatibility check reuses it."""
     op = _frozen_table(raw)
     n = len(op)
-    gens = _generators(op)
+    gens = tuple(_generators(op))
     bad = _first_nonassoc(op, gens)
     if bad is not None:
         raise ValidationError("not_associative", bad)
@@ -303,12 +298,12 @@ def _clifford_and_gens(raw) -> tuple[CliffordTable, list[int]]:
         if op[a][inv[a]] != op[inv[a]][a]:
             raise ValidationError("not_clifford", (a,))
     idems = tuple(e for e in range(n) if op[e][e] == e)
-    return CliffordTable(n, op, tuple(inv), idems), gens
+    return CliffordTable(n, op, tuple(inv), idems, gens)
 
 
 def clifford_of_group(g: FiniteGroupTable) -> CliffordTable:
     # a group is Clifford with E = {identity}; no re-validation needed
-    return CliffordTable(g.order, g.op, g.inv, (g.identity,))
+    return CliffordTable(g.order, g.op, g.inv, (g.identity,), g.gens)
 
 
 def _mask(elems) -> int:
@@ -362,25 +357,21 @@ def _generators(op, reach: int = 0) -> list[int]:
 
 
 def generating_set(g: FiniteGroupTable) -> list[int]:
-    """Greedy generating set of a group over its identity (see _generators).
-
-    Every element below gens[i] lies in <gens[:i]>; the hom search relies
-    on this.
-    """
-    return _generators(g.op, 1 << g.identity)
+    """g.gens: greedy generators over the identity (see _generators)."""
+    return list(g.gens)
 
 
 def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool = False):
     """Yield the homomorphisms a -> b as image tuples, in lexicographic order.
 
-    Backtracks over the images of generating_set(a), trying each image in
+    Backtracks over the images of a.gens, trying each image in
     increasing order.  The partial map lives on H = <gens assigned so far>
     and is extended only by right multiplication with those generators; it
     survives exactly when it is a hom on H.  Every element below gens[i]
     lies in <gens[:i]>, so the tuples come out in lexicographic order.
     With injective, a partial map that repeats an image is dropped.
     """
-    gens = generating_set(a)
+    gens = a.gens
     aop, bop = a.op, b.op
     f: list = [None] * a.order
     f[a.identity] = b.identity

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -90,6 +91,15 @@ def test_validate_spec_composition_law():
     s = wbk.compose(spec)
     assert s.order == 6
     assert s.idempotents == (0, 2, 4)
+
+
+def test_decompose_treats_a_rejected_rebuilt_spec_as_internal(c3_sym3, monkeypatch):
+    # decompose builds the connecting homs itself, so a spec that fails
+    # validation is a fault of the program, not a witness about the input;
+    # sys.modules, since wbk.compose is the function
+    monkeypatch.setattr(sys.modules["wbk.compose"], "_first_non_hom", lambda f, pairs: (0, 0, 0))
+    with pytest.raises(wbk.InternalInvariantBroken, match="rebuilt components or homs fail validation: not_a_hom"):
+        wbk.decompose(c3_sym3)
 
 
 def test_enumerate_skew_brace_homs_counts():

@@ -1,8 +1,10 @@
 """Group, semilattice, and Clifford table validation plus hom enumeration."""
 
 import random
+from dataclasses import replace
 
 import pytest
+from conftest import exotic, exotic_chain, non_chain
 
 from wbk import (
     ValidationError,
@@ -21,7 +23,7 @@ from wbk import (
     validate_skew_brace,
 )
 from wbk.compose import _brace_homs
-from wbk.tables import _first_non_hom, _iter_group_homs
+from wbk.tables import _first_non_hom, _generators, _iter_group_homs
 
 # order-5 loop: Latin, identity 0, every element self-inverse, not associative
 LOOP5 = [
@@ -147,6 +149,43 @@ def test_generating_set():
     assert generating_set(catalog_get("c6")) == [1]
 
 
+def _gens_cases():
+    """(kind, table, its greedy set, the greedy set of its transpose or None): the
+    groups over their identity (catalog groups, both sides of the catalog
+    and exotic Z2-Z16 braces, (Z2)^3), and every table validate_clifford
+    builds (the catalog's composed and dual weak braces, chains, non-chain,
+    and the opposites of all these structures)."""
+    elementary = [[a ^ b for b in range(8)] for a in range(8)]
+    braces = [catalog_get(name) for name, kind, _ in catalog_list() if kind == "skew_brace"]
+    braces += [exotic(n) for n in range(2, 17, 2)] + [validate_skew_brace(elementary, elementary)]
+    groups = [catalog_get(name) for name, kind, _ in catalog_list() if kind == "group"]
+    groups += [g for b in braces for g in (b.add, b.mul)]
+    cases = []
+    for g in groups:
+        t = [list(col) for col in zip(*g.op)]
+        over_e = 1 << g.identity
+        cases.append(("group", g, _generators(g.op, over_e), None))
+        cases.append(("clifford_of_group", clifford_of_group(g), _generators(g.op, over_e), _generators(t, over_e)))
+    kinds = {name: kind for name, kind, _ in catalog_list()}
+    structures = [s for name, s in catalog_structures() if kinds[name] != "skew_brace"]
+    structures += [exotic_chain(c) for c in ((4, 2), (8, 4, 2), (12, 6, 2))] + [non_chain()]
+    structures += [s.opposite() for s in structures + [b.as_dual() for b in braces]]
+    for s in structures:
+        for t in (s.add, s.mul):
+            cases.append(("clifford", t, _generators(t.op), _generators(t.transpose().op)))
+    return cases
+
+
+def test_tables_carry_their_greedy_generators_outside_equality():
+    for kind, t, gens, transposed in _gens_cases():
+        assert t.gens == tuple(gens), (kind, t)
+        if transposed is not None:
+            assert t.transpose().gens == tuple(transposed), (kind, t)
+        # classify's cache keys on ==, hash and repr; gens takes no part in them
+        bare = replace(t, gens=())
+        assert bare == t and hash(bare) == hash(t) and repr(bare) == repr(t), (kind, t)
+
+
 def _relabel_group(g, perm):
     op = [[None] * g.order for _ in range(g.order)]
     for a in range(g.order):
@@ -239,7 +278,7 @@ def test_injective_search_is_the_filtered_full_search():
             assert list(_iter_group_homs(src, dst, injective=True)) == want
         full = enumerate_skew_brace_homs(a, b)
         want = [f for f in full if len(set(f)) == len(f)]
-        got = list(_brace_homs(a, b, _iter_group_homs(a.mul, b.mul, injective=True)))
+        got = list(_brace_homs(a, b, injective=True))
         assert got == want
         checked += bool(want)
     assert checked > len(braces)
