@@ -1,7 +1,7 @@
 """wbk command line: deterministic reports over structure files and the catalog.
 
 Exit codes: 0 pass/info, 1 mathematical fail (a witness was found),
-2 usage or parse errors.
+2 usage or parse errors, 3 internal error (a program cross-check failed).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .braces import DualWeakBrace, SkewBrace
 from .catalog import catalog_list
 from .compose import StrongSemilatticeSpec, are_isomorphic, compose, decompose, enumerate_skew_brace_homs
 from .errors import (
+    InternalInvariantBroken,
     NoPeriod,
     NotAnIdeal,
     ParseError,
@@ -379,6 +380,9 @@ def main(argv=None) -> int:
     except (UsageError, ParseError, UnknownName, OrderTooLarge) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except InternalInvariantBroken as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
     except NoPeriod as err:
         failure = f"NO-PERIOD tail={err.tail} cycle={err.cycle}"
     except NotAnIdeal as err:

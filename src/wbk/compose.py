@@ -18,6 +18,7 @@ from .tables import (
     SemilatticeTable,
     _first_non_hom,
     _glue,
+    _hom_test,
     _induced,
     _iter_group_homs,
     _validate_hom_system,
@@ -120,8 +121,7 @@ def _brace_homs(a: SkewBrace, b: SkewBrace, injective: bool = False):
     mul_homs = _iter_group_homs(a.mul, b.mul, injective)
     if a.add.op == a.mul.op and b.add.op == b.mul.op:
         return mul_homs
-    adds = ((a.add.op, b.add.op),)
-    return (f for f in mul_homs if _first_non_hom(f, adds) is None)
+    return filter(_hom_test(a.add.op, b.add.op), mul_homs)
 
 
 def enumerate_skew_brace_homs(a: SkewBrace, b: SkewBrace) -> list[tuple[int, ...]]:

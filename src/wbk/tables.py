@@ -8,7 +8,7 @@ axiom with the lexicographically smallest witness tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product, starmap
+from itertools import chain, product, starmap
 from operator import itemgetter
 
 from .errors import InternalInvariantBroken, ValidationError
@@ -209,6 +209,24 @@ def _first_non_hom(f, pairs) -> tuple[int, int, int] | None:
     return best
 
 
+def _hom_test(src, dst):
+    """holds(f): whether f[src[x][y]] == dst[f[x]][f[y]] for every (x, y),
+    i.e. _first_non_hom(f, ((src, dst),)) is None.  With both orders <= 256
+    the pair is encoded once as bytes, and each map costs n + 1 translates
+    (src by f, f by row f[x] of dst) and one compare; larger tables are scanned.
+    """
+    if max(len(src), len(dst)) > 256:
+        return lambda f: _first_non_hom(f, ((src, dst),)) is None
+    flat = bytes(chain.from_iterable(src))
+    pads = [bytes(row).ljust(256, b"\0") for row in dst]
+
+    def holds(f) -> bool:
+        fb = bytes(f)
+        return flat.translate(fb.ljust(256, b"\0")) == b"".join([fb.translate(pads[w]) for w in f])
+
+    return holds
+
+
 def _induced(op, elems, label) -> list[list]:
     """Table of op restricted to elems, entries renamed through label."""
     return [[label[op[a][b]] for b in elems] for a in elems]
@@ -402,11 +420,13 @@ def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool =
             stack += [(row_a[h], row_b[v]) for h, v in steps]
         return True
 
+    holds = _hom_test(aop, bop)
+
     def search(i: int):
         if i == len(gens):
             hom = tuple(f)
-            bad = _first_non_hom(hom, ((aop, bop),))
-            if bad is not None:
+            if not holds(hom):
+                bad = _first_non_hom(hom, ((aop, bop),))
                 raise InternalInvariantBroken(f"hom closure produced a non-hom at {bad[:2]}")
             yield hom
             return

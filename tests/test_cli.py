@@ -521,3 +521,13 @@ def test_fuzzed_files_keep_the_exit_code_contract(capsys, tmp_path):
         assert err.startswith("error: ") if code == 2 else out[-1].startswith("status: "), cmd
         codes[code] += 1
     assert set(codes) == {0, 1, 2}, codes
+
+
+def test_internal_error_exits_3_without_a_traceback(capsys, monkeypatch):
+    # a failing cross-check is a fault of the program: its own exit code,
+    # one stderr line; sys.modules, since wbk.compose is the function
+    monkeypatch.setattr(sys.modules["wbk.compose"], "_first_non_hom", lambda f, pairs: (0, 0, 0))
+    code, out, err = run(capsys, "decompose", "--catalog", "c3_sym3")
+    assert code == 3 and out == []
+    assert err == "internal error: rebuilt components or homs fail validation: not_a_hom witness=((0, 1), (0, 0))\n"
+    assert "Traceback" not in err

@@ -7,6 +7,7 @@ import pytest
 from conftest import exotic, exotic_chain, non_chain
 
 from wbk import (
+    InternalInvariantBroken,
     ValidationError,
     catalog_get,
     catalog_list,
@@ -23,7 +24,7 @@ from wbk import (
     validate_skew_brace,
 )
 from wbk.compose import _brace_homs
-from wbk.tables import _first_non_hom, _generators, _iter_group_homs
+from wbk.tables import FiniteGroupTable, _first_non_hom, _generators, _hom_test, _iter_group_homs
 
 # order-5 loop: Latin, identity 0, every element self-inverse, not associative
 LOOP5 = [
@@ -336,3 +337,93 @@ def test_first_non_hom_matches_lexicographic_scan():
                     later_wins += want is not None and want[2] == 1
     # the later table must win sometimes, or the tie order goes untested
     assert later_wins > 0
+
+
+def test_hom_search_cross_check_fires_on_a_loop():
+    # a non-associative loop of order 6, built past validate_group: the
+    # closure along gens = (1,) pins a map that is not a hom, and the full
+    # check of each yielded map must catch it
+    op = ((0, 1, 2, 3, 4, 5), (1, 2, 4, 0, 5, 3), (2, 4, 1, 5, 3, 0),
+          (3, 5, 0, 4, 1, 2), (4, 3, 5, 2, 0, 1), (5, 0, 3, 1, 2, 4))
+    gens = tuple(_generators(op, 1))
+    assert gens == (1,)
+    loop = FiniteGroupTable(6, op, 0, tuple(row.index(0) for row in op), gens)
+    with pytest.raises(InternalInvariantBroken, match=r"^hom closure produced a non-hom at \(1, 3\)$"):
+        list(_iter_group_homs(loop, catalog_get("c2")))
+
+
+def _cyclic(n):
+    return tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+
+
+def _assert_hom_test_agrees(src, dst, maps):
+    holds = _hom_test(src, dst)
+    for f in maps:
+        assert holds(f) == (_first_non_hom(f, ((src, dst),)) is None), (f, src, dst)
+
+
+def test_hom_test_matches_first_non_hom_on_random_maps():
+    rng = random.Random(16)
+    groups = [g.op for g in (catalog_get("klein4"), catalog_get("sym3"))]
+    groups += [_cyclic(n) for n in range(1, 9)]
+    nontrivial = 0
+    for src in groups:
+        for dst in groups:
+            n, m = len(src), len(dst)
+            homs = [tuple(f) for f in enumerate_group_homs(validate_group(src), validate_group(dst))]
+            maps = homs + [tuple(rng.randrange(m) for _ in range(n)) for _ in range(30)]
+            _assert_hom_test_agrees(src, dst, maps)
+            nontrivial += n != m and len(homs) > 1
+    assert nontrivial > 10
+    # arbitrary tables, not only groups, orders 1-8 on each side
+    for _ in range(300):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        src = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        dst = [[rng.randrange(m) for _ in range(m)] for _ in range(m)]
+        _assert_hom_test_agrees(src, dst, [tuple(rng.randrange(m) for _ in range(n)) for _ in range(10)])
+
+
+def test_hom_test_catches_a_failure_at_the_last_pair():
+    rng = random.Random(17)
+    for n in range(1, 8):
+        for m in range(max(n, 2), 9):
+            # an injective f and a dst that agrees with f on every pair but the last
+            f = tuple(rng.sample(range(m), n))
+            src = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            dst = [[rng.randrange(m) for _ in range(m)] for _ in range(m)]
+            for x in range(n):
+                for y in range(n):
+                    dst[f[x]][f[y]] = f[src[x][y]]
+            assert _hom_test(src, dst)(f)
+            dst[f[-1]][f[-1]] = (dst[f[-1]][f[-1]] + 1) % m
+            assert _first_non_hom(f, ((src, dst),)) == (n - 1, n - 1, 0)
+            assert not _hom_test(src, dst)(f)
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_hom_test_on_both_sides_of_the_bytes_bound(n):
+    # 256 is encoded as bytes, 257 is scanned
+    z = _cyclic(n)
+    hom = tuple(3 * x % n for x in range(n))
+    bent = hom[:100] + ((hom[100] + 1) % n,) + hom[101:]
+    holds = _hom_test(z, z)
+    assert holds(hom) and not holds(bent)
+    assert _first_non_hom(bent, ((z, z),)) is not None
+    # at 257 one side past the bound is enough to scan: bytes() would
+    # reject its entries
+    one = _cyclic(1)
+    assert _hom_test(z, one)((0,) * n) and _hom_test(one, z)((0,))
+    assert not _hom_test(one, z)((1,))
+
+
+def test_brace_homs_are_the_mul_homs_that_keep_plus():
+    braces = [catalog_get(name) for name, kind, _ in catalog_list() if kind == "skew_brace"]
+    braces += [exotic(n) for n in range(2, 17, 2)]
+    exotic_pairs = 0
+    for a in braces:
+        for b in braces:
+            adds = ((a.add.op, b.add.op),)
+            want = [f for f in enumerate_group_homs(a.mul, b.mul) if _first_non_hom(f, adds) is None]
+            assert enumerate_skew_brace_homs(a, b) == want, (a.order, b.order)
+            exotic_pairs += a.add != a.mul and len(want) > 1
+    assert exotic_pairs > 10
