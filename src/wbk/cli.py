@@ -212,7 +212,7 @@ def _cmd_regularity(args) -> Report:
 
 def _cmd_ideals(args) -> Report:
     s = _as_dual(_load_one(args))
-    enum = ideals.enumerate_ideals(s, mode=args.mode)
+    enum = ideals.enumerate_ideals(s)
     lines = [f"mode: {enum.mode}", f"count: {len(enum.ideals)}"]
     # every enumerated ideal has passed the whole ideal law ladder: tier I
     lines += _limit(enum.ideals, args, lambda x: f"{_set_str(x)} I")
@@ -363,8 +363,6 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--catalog2")
         if name in ("quotient", "series"):
             p.add_argument("--members")
-        if name == "ideals":
-            p.add_argument("--mode", choices=["auto", "exhaustive", "closure"], default="auto")
         p.add_argument("--format", choices=["text", "json"], default="text")
         if name in ("solve", "ideals", "homs"):
             p.add_argument("--limit", type=int)

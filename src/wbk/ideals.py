@@ -375,59 +375,51 @@ class IdealEnumeration:
     mode: str
 
 
-def enumerate_ideals(s: DualWeakBrace, mode: str = "auto") -> IdealEnumeration:
+def enumerate_ideals(s: DualWeakBrace) -> IdealEnumeration:
     """All two-sided ideals, as frozensets listed by size, then members.
 
-    Both modes run on bitmasks and share one closure, under +, -, lambda
-    and both conjugations: images the ideal laws require.
-    exhaustive decides every subset containing E(S), pruning a branch once
-    a law fails: a depth-first search over the elements in index order in
-    which including x replaces the included set by its closure with x, and
-    a closure that takes in an excluded element cuts the branch.  Above
-    EXHAUSTIVE_BOUND (16) it raises OrderTooLarge; auto picks closure there.
-    closure takes joins of principal ideals: a breadth-first search from
-    the least ideal that adds I + P_x for each ideal I found and each x not
-    in I, P_x the principal ideal of x.  Every ideal is the join of the
-    principal ideals of its elements.
-    Every candidate of either mode is closed under those images, so each
-    must pass the full ideal test; one that fails raises
-    InternalInvariantBroken.
+    Both searches run on bitmasks and take one step: the join I + P_x of an
+    ideal I with the principal ideal P_x of x, closed once per x under +, -,
+    lambda and both conjugations.  A sum of ideals, it is the least ideal
+    holding I and x: a = a + e_a with e_a in E(S) <= P_x, x = e_x + x with
+    e_x in I.
+    The order picks the search: up to EXHAUSTIVE_BOUND (16), a depth-first
+    search that includes or excludes each element in index order, cutting a
+    branch once a join takes in an excluded element; above it, a
+    breadth-first search from the least ideal over the joins with each
+    distinct P_x.  Every candidate must pass the full ideal test; one that
+    fails raises InternalInvariantBroken.
     """
     bound = max_order()
     if s.order > bound:
         raise OrderTooLarge(f"order {s.order} exceeds bound {bound}")
-    if mode == "auto":
-        mode = "exhaustive" if s.order <= EXHAUSTIVE_BOUND else "closure"
-    if mode not in ("exhaustive", "closure"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exhaustive" and s.order > EXHAUSTIVE_BOUND:
-        raise OrderTooLarge(f"order {s.order} exceeds exhaustive bound {EXHAUSTIVE_BOUND}")
+    mode = "exhaustive" if s.order <= EXHAUSTIVE_BOUND else "closure"
     n, add = s.order, s.add.op
     images = _ideal_images(s)
     least = _close(add, _mask(s.idempotents), images)
+    principal = [_close(add, least | 1 << x, images, least) for x in range(n)]
+    members = {p: _elements(p) for p in principal}
     if mode == "exhaustive":
         masks = []
 
         def search(x: int, inc: int, exc: int) -> None:
-            # inc is closed; decide the elements x, x+1, ... not in inc
+            # inc is an ideal; decide the elements x, x+1, ... not in inc
             while x < n and inc >> x & 1:
                 x += 1
             if x == n:
                 masks.append(inc)
                 return
-            nxt = _close(add, inc | 1 << x, images, inc)
+            nxt = _sum_mask(add, inc, _elements(inc), members[principal[x]])
             if not nxt & exc:
                 search(x + 1, nxt, exc)
             search(x + 1, inc, exc | 1 << x)
 
         search(0, least, 0)
     else:
-        principal = {_close(add, least | 1 << x, images, least) for x in range(n)}
-        principal = [(p, _elements(p)) for p in principal]
         masks, seen = [least], {least}
         for i in masks:
             mem = _elements(i)
-            for p, pmem in principal:
+            for p, pmem in members.items():
                 if p & ~i:
                     j = _sum_mask(add, i, mem, pmem)
                     if j not in seen:

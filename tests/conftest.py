@@ -71,6 +71,15 @@ def relabelled_table(table, perm):
     return out
 
 
+def enumerate_by(monkeypatch, s, search):
+    """wbk.enumerate_ideals(s) through the named search, exhaustive or
+    closure, forced by moving EXHAUSTIVE_BOUND to either side of s.order."""
+    monkeypatch.setattr(wbk.ideals, "EXHAUSTIVE_BOUND", s.order if search == "exhaustive" else 0)
+    enum = wbk.enumerate_ideals(s)
+    assert enum.mode == search
+    return enum
+
+
 def non_chain():
     # two incomparable tops 0 and 1 over a bottom 2, so eta may swap them
     y = [[0, 2, 2], [2, 1, 2], [2, 2, 2]]

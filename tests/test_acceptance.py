@@ -9,6 +9,8 @@ import itertools
 import math
 import time
 
+from conftest import enumerate_by
+
 import wbk
 
 
@@ -119,7 +121,7 @@ def test_c06_even_part_of_z6_is_annihilator_saturated_but_series_stalls():
     z6 = raw.as_dual()
     assert wbk.annihilator(z6) == {0}
     qualifying = []
-    for ideal in wbk.enumerate_ideals(z6, mode="exhaustive").ideals:
+    for ideal in wbk.enumerate_ideals(z6).ideals:
         sub, labels = wbk.sub_structure(z6, ideal)
         ann_inside = {labels[i] for i in wbk.annihilator(sub)}
         q = wbk.quotient(z6, ideal)
@@ -248,7 +250,7 @@ def brute_brace_homs(a, b):
     return out
 
 
-def test_c10_enumerators_match_brute_force():
+def test_c10_enumerators_match_brute_force(monkeypatch):
     # the brute force lists maps in lexicographic order, and so must the
     # enumerators: the iso witness is the first bijection in that order
     groups = [(n, wbk.catalog_get(n)) for n in ("c2", "c3", "c4", "c6", "klein4", "sym3")]
@@ -262,6 +264,6 @@ def test_c10_enumerators_match_brute_force():
             assert wbk.enumerate_skew_brace_homs(a, b) == brute_brace_homs(a, b), (na, nb)
     for name, s in wbk.catalog_structures():
         assert s.order <= 16
-        exhaustive = wbk.enumerate_ideals(s, mode="exhaustive")
-        closure = wbk.enumerate_ideals(s, mode="closure")
+        exhaustive = enumerate_by(monkeypatch, s, "exhaustive")
+        closure = enumerate_by(monkeypatch, s, "closure")
         assert exhaustive.ideals == closure.ideals, name

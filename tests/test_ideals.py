@@ -3,11 +3,12 @@
 import itertools
 
 import pytest
-from conftest import exotic, exotic_chain, non_chain
+from conftest import enumerate_by, exotic, exotic_chain, non_chain
 
 import wbk
 from wbk import InternalInvariantBroken, NotAHom, NotAnIdeal, OrderTooLarge, ideals
-from wbk.ideals import _tier, additive_center, is_normal_subsemigroup, mul_center
+from wbk.ideals import _sum_mask, _tier, additive_center, is_normal_subsemigroup, mul_center
+from wbk.tables import _close, _elements, _mask
 
 
 def test_z6_special_subsets(z6):
@@ -37,11 +38,11 @@ def test_special_subsets_are_ideals_or_left_ideals(all_structures):
         assert wbk.is_strong_left_ideal(s, wbk.left_center(s)), name
 
 
-def test_z6_ideal_lattice(z6):
+def test_z6_ideal_lattice(z6, monkeypatch):
     enum = wbk.enumerate_ideals(z6)
     assert [sorted(x) for x in enum.ideals] == [[0], [0, 2, 4], [0, 1, 2, 3, 4, 5]]
     assert enum.mode == "exhaustive"
-    closure = wbk.enumerate_ideals(z6, mode="closure")
+    closure = enumerate_by(monkeypatch, z6, "closure")
     assert set(closure.ideals) == set(enum.ideals)
 
 
@@ -166,10 +167,10 @@ def test_sub_structure_needs_zero_parts(c3_sym3):
     assert not strict and strict.law == "missing_idempotent"
 
 
-def test_enumerate_ideals_modes_agree(all_structures):
+def test_enumerate_ideals_modes_agree(all_structures, monkeypatch):
     for name, s in all_structures:
-        ex = wbk.enumerate_ideals(s, mode="exhaustive")
-        cl = wbk.enumerate_ideals(s, mode="closure")
+        ex = enumerate_by(monkeypatch, s, "exhaustive")
+        cl = enumerate_by(monkeypatch, s, "closure")
         assert ex.ideals == cl.ideals, name
 
 
@@ -186,7 +187,7 @@ def test_post_check_catches_a_broken_image_table(monkeypatch, z6):
     monkeypatch.setattr(ideals, "_ideal_images", lambda s: [1 << v for v in s.add.inv])
     for mode in ("exhaustive", "closure"):
         with pytest.raises(InternalInvariantBroken, match=f"{mode} candidate is not an ideal"):
-            wbk.enumerate_ideals(z6, mode)
+            enumerate_by(monkeypatch, z6, mode)
 
 
 def _sym3_cyclic():
@@ -209,7 +210,7 @@ def test_ideal_images_need_the_add_conjugate(monkeypatch):
     chk = wbk.is_ideal(s, x)
     assert (chk.law, chk.witness) == ("not_normal", (2, 1))
     for mode in ("exhaustive", "closure"):
-        assert [sorted(i) for i in wbk.enumerate_ideals(s, mode).ideals] == [[0], [0, 3, 4], list(range(6))]
+        assert [sorted(i) for i in enumerate_by(monkeypatch, s, mode).ideals] == [[0], [0, 3, 4], list(range(6))]
 
     def without_add_conjugate(s):
         # ideals._ideal_images with the -a + i + a term left out
@@ -225,7 +226,7 @@ def test_ideal_images_need_the_add_conjugate(monkeypatch):
     monkeypatch.setattr(ideals, "_ideal_images", without_add_conjugate)
     for mode in ("exhaustive", "closure"):
         with pytest.raises(InternalInvariantBroken, match=f"{mode} candidate is not an ideal"):
-            wbk.enumerate_ideals(s, mode)
+            enumerate_by(monkeypatch, s, mode)
 
 
 def test_quotient_classes_match_the_definition(all_structures):
@@ -364,7 +365,7 @@ def _divisor_chains(total):
     return sorted(chains)
 
 
-def test_enumerate_ideals_matches_subset_oracle(all_structures):
+def test_enumerate_ideals_matches_subset_oracle(all_structures, monkeypatch):
     cases = list(all_structures)
     cases += [(name + " opposite", s.opposite()) for name, s in all_structures]
     cases += [(f"exotic Z{n}", exotic(n).as_dual()) for n in range(2, 13, 2)]
@@ -375,7 +376,7 @@ def test_enumerate_ideals_matches_subset_oracle(all_structures):
     for name, s in cases:
         want = _by_size(_passing_supersets(s, wbk.is_ideal))
         for mode in ("exhaustive", "closure"):
-            assert wbk.enumerate_ideals(s, mode).ideals == want, (name, mode)
+            assert enumerate_by(monkeypatch, s, mode).ideals == want, (name, mode)
 
 
 def _ideals_from_components(s):
@@ -398,6 +399,63 @@ def test_ideals_are_unions_of_compatible_component_ideals(c3_sym3, c2_c4):
     for name, s in cases:
         assert len(s.idempotents) > 1, name
         assert wbk.enumerate_ideals(s).ideals == _ideals_from_components(s), name
+
+
+def _cyclic_ideals(s):
+    """When (S, +) is Z_n in index order, every ideal is a subgroup dZ_n:
+    the ideals are the subgroups that pass is_ideal."""
+    n = s.order
+    return _by_size(
+        x for x in (frozenset(range(0, n, d)) for d in range(1, n + 1) if n % d == 0) if wbk.is_ideal(s, x)
+    )
+
+
+def test_both_searches_agree_above_the_exhaustive_bound(monkeypatch):
+    # each search forced through EXHAUSTIVE_BOUND on orders above it, where
+    # the order alone would always pick closure
+    monkeypatch.setenv("WBK_MAX_ORDER", "32")
+    cases = [(f"exotic Z{n}", exotic(n).as_dual(), _cyclic_ideals) for n in range(18, 25, 2)]
+    cases += [(f"Z{n}", _cyclic(n), _cyclic_ideals) for n in range(17, 25)]
+    cases += [("chain (12, 6, 2)", exotic_chain((12, 6, 2)), _ideals_from_components)]
+    cases += [("(Z2)^5", _elementary(5), None)]
+    for name, s, oracle in cases:
+        assert s.order > 16, name
+        found = enumerate_by(monkeypatch, s, "exhaustive").ideals
+        assert found == enumerate_by(monkeypatch, s, "closure").ideals, name
+        if oracle is not None:
+            assert found == oracle(s), name
+
+
+def test_both_searches_count_the_subgroups_of_elementary_abelian_groups(monkeypatch):
+    # (Z2)^k as a trivial brace: its ideals are its subgroups, as many as the
+    # Gaussian binomials [k, d]_2 summed over d
+    monkeypatch.setenv("WBK_MAX_ORDER", "64")
+    for k, want in ((4, 67), (5, 374), (6, 2825)):
+        s = _elementary(k)
+        for search in ("exhaustive", "closure"):
+            found = enumerate_by(monkeypatch, s, search).ideals
+            assert len(set(found)) == len(found) == want, (k, search)
+
+
+def test_join_with_a_principal_ideal_is_the_closure_step(all_structures):
+    # I + P_x, the step both searches take, against the closure of I and x
+    # under + and the ideal images: the least ideal holding both
+    cases = list(all_structures) + [(name + " opposite", s.opposite()) for name, s in all_structures]
+    cases += [(f"exotic Z{n}", exotic(n).as_dual()) for n in range(2, 17, 2)]
+    cases += [("(Z2)^4", _elementary(4))]
+    steps = 0
+    for name, s in cases:
+        add, images = s.add.op, ideals._ideal_images(s)
+        least = _close(add, _mask(s.idempotents), images)
+        principal = [_elements(_close(add, least | 1 << x, images, least)) for x in range(s.order)]
+        for ideal in wbk.enumerate_ideals(s).ideals:
+            i = _mask(ideal)
+            mem = _elements(i)
+            for x in set(range(s.order)) - ideal:
+                want = _close(add, i | 1 << x, images, i)
+                assert _sum_mask(add, i, mem, principal[x]) == want, (name, sorted(ideal), x)
+                steps += 1
+    assert steps > 1000
 
 
 def _reference_laws(s, x):
