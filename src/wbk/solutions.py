@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import getitem
 
+from . import tables
 from .braces import DualWeakBrace
-from .errors import NoPeriod, ValidationError
-from .tables import SemilatticeTable, _first_non_hom, _first_row_failure, _gather, _glue, _validate_hom_system
+from .errors import InternalInvariantBroken, NoPeriod, ValidationError
+from .tables import SemilatticeTable, _first_non_hom, _gather, _glue, _least_row_failure, _validate_hom_system
 
 
 @dataclass(frozen=True)
@@ -51,18 +52,59 @@ def _split(r: SolutionTable) -> tuple[list, list]:
     return [tuple(u for u, _ in row) for row in r.pairs], [tuple(v for _, v in row) for row in r.pairs]
 
 
+def _braid_holds(lam, rho) -> bool:
+    """Whether r(x, y) = (L[x][y], R[x][y]) = (lam[x][y], rho[x][y]) satisfies
+    the braid identity on all n^3 triples, for n <= tables.BYTES_BOUND.
+
+    With (u, v) = r(a, b), (w, z) = r(b, c) and q = R[a][w], the triple
+    (a, b, c) goes to (L[u][L[v][c]], R[u][L[v][c]], R[v][c]) on the left
+    and to (L[a][w], L[q][z], R[q][z]) on the right.  Each side of each
+    coordinate is one bytes.translate of a row over c per (a, b) or of a
+    column over a per (b, c); slab x holds a = x for coordinate 1 and b = x
+    for coordinates 2 and 3, so a slab takes O(n^2) bytes.
+    """
+    n = len(lam)
+    cols_l, cols_r = list(zip(*lam)), list(zip(*rho))
+    rows_l, col_r = [bytes(t) for t in lam], [bytes(t) for t in cols_r]
+    by_l, by_r, by_col_l, by_col_r = (
+        [bytes(t).ljust(256, b"\0") for t in tab] for tab in (lam, rho, cols_l, cols_r)
+    )
+    flat_l = b"".join(rows_l)
+    for x in range(n):
+        row = list(zip(lam[x], rho[x]))  # r(x, y) over y
+        # 1, rows over c per (x, b): L[v] by L[u] against L[b] by L[x]
+        if b"".join([rows_l[v].translate(by_l[u]) for u, v in row]) != flat_l.translate(by_l[x]):
+            return False
+        # 3, columns over a per (x, c): R column x by R column c against
+        # R column w by R column z
+        lhs = b"".join([col_r[x].translate(t) for t in by_col_r])
+        if lhs != b"".join([col_r[w].translate(by_col_r[z]) for w, z in row]):
+            return False
+        # 2, rows over c per (a, x) on the left, (u, v) = r(a, x); columns
+        # over a per (x, c) on the right, transposed by strided slices
+        lhs = b"".join([rows_l[v].translate(by_r[u]) for u, v in zip(cols_l[x], cols_r[x])])
+        rhs = b"".join([col_r[w].translate(by_col_l[z]) for w, z in row])
+        if lhs != b"".join([rhs[a::n] for a in range(n)]):
+            return False
+    return True
+
+
 def check_braid(r: SolutionTable) -> tuple[int, int, int] | None:
     """Least triple violating the braid identity, or None when it holds.
 
-    r12 r23 r12 = r23 r12 r23 is compared on all n^3 triples by
-    _first_row_failure with every b as a generator, three rows over c per
-    (a, b), one per coordinate.  With r(x, y) = (L[x][y], R[x][y])
-    and (u, v) = r(a, b), the left side at (a, b, c) is
+    r12 r23 r12 = r23 r12 r23 is decided on all n^3 triples by _braid_holds
+    up to tables.BYTES_BOUND.  Above it, and for the least witness once
+    _braid_holds fails, _least_row_failure compares three rows over c per
+    (a, b), one per coordinate.  With r(x, y) = (L[x][y], R[x][y]) and
+    (u, v) = r(a, b), the left side at (a, b, c) is
     (L[u][L[v][c]], R[u][L[v][c]], R[v][c]) and the right side, with
     q = R[a][L[b][c]], is (L[a][L[b][c]], L[q][R[b][c]], R[q][R[b][c]]).
     """
     n = r.order
     lam, rho = _split(r)
+    small = n <= tables.BYTES_BOUND
+    if small and _braid_holds(lam, rho):
+        return None
     after = [_gather(row) for row in lam]  # after[y](f) = c -> f[L[y][c]]
 
     def rows(a: int, b: int) -> tuple:
@@ -76,7 +118,10 @@ def check_braid(r: SolutionTable) -> tuple[int, int, int] | None:
         )
         return lhs, rhs
 
-    return _first_row_failure(n, range(n), rows)
+    bad = _least_row_failure(n, rows)
+    if small and bad is None:
+        raise InternalInvariantBroken("bytes braid test rejects a solution the row scan accepts")
+    return bad
 
 
 def is_bijective(r: SolutionTable) -> bool:

@@ -13,6 +13,11 @@ from operator import itemgetter
 
 from .errors import InternalInvariantBroken, ValidationError
 
+# the largest order whose elements fit in one byte: up to it, hom streams
+# (_hom_test) and the braid check test whole tables with bytes.translate;
+# above it they scan elementwise
+BYTES_BOUND = 256
+
 
 def _frozen_table(raw) -> tuple[tuple[int, ...], ...]:
     """Shape- and range-check a raw table, freezing it to nested tuples."""
@@ -53,6 +58,12 @@ def _first_row_failure(n: int, gens, rows) -> tuple[int, int, int] | None:
     """
     if all(lhs == rhs for lhs, rhs in starmap(rows, product(range(n), gens))):
         return None
+    return _least_row_failure(n, rows)
+
+
+def _least_row_failure(n: int, rows) -> tuple[int, int, int] | None:
+    """Least (a, b, c) at which the two sides of rows(a, b) differ (see
+    _first_row_failure), scanning every (a, b) in lexicographic order."""
     for a, b in product(range(n), repeat=2):
         lhs, rhs = rows(a, b)
         if lhs != rhs:
@@ -211,11 +222,12 @@ def _first_non_hom(f, pairs) -> tuple[int, int, int] | None:
 
 def _hom_test(src, dst):
     """holds(f): whether f[src[x][y]] == dst[f[x]][f[y]] for every (x, y),
-    i.e. _first_non_hom(f, ((src, dst),)) is None.  With both orders <= 256
-    the pair is encoded once as bytes, and each map costs n + 1 translates
-    (src by f, f by row f[x] of dst) and one compare; larger tables are scanned.
+    i.e. _first_non_hom(f, ((src, dst),)) is None.  With both orders at most
+    BYTES_BOUND the pair is encoded once as bytes, and each map costs n + 1
+    translates (src by f, f by row f[x] of dst) and one compare; larger
+    tables are scanned.
     """
-    if max(len(src), len(dst)) > 256:
+    if max(len(src), len(dst)) > BYTES_BOUND:
         return lambda f: _first_non_hom(f, ((src, dst),)) is None
     flat = bytes(chain.from_iterable(src))
     pads = [bytes(row).ljust(256, b"\0") for row in dst]
@@ -427,6 +439,8 @@ def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool =
             hom = tuple(f)
             if not holds(hom):
                 bad = _first_non_hom(hom, ((aop, bop),))
+                if bad is None:
+                    raise InternalInvariantBroken("bytes hom test rejects a hom the scan accepts")
                 raise InternalInvariantBroken(f"hom closure produced a non-hom at {bad[:2]}")
             yield hom
             return

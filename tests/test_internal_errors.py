@@ -197,6 +197,17 @@ def _hom_search_leaf(mp, tmp_path):
     return ["homs", "--catalog", "z6_exotic", "--catalog2", "z6_exotic"]
 
 
+def _hom_test_alone(mp, tmp_path):
+    # the scan still accepts every hom the search yields
+    mp.setattr(mod("tables"), "_hom_test", lambda a, b: lambda f: False)
+    return ["homs", "--catalog", "z6_exotic", "--catalog2", "z6_exotic"]
+
+
+def _braid_bytes_reject(mp, tmp_path):
+    mp.setattr(mod("solutions"), "_braid_holds", lambda lam, rho: False)
+    return ["braid", "--catalog", "z6_exotic"]
+
+
 # (module of the site, patch returning the argv that reaches it, message)
 CLI_CASES = [
     ("series", _series_right_not_descending, "right series is not descending"),
@@ -227,6 +238,8 @@ CLI_CASES = [
     ("compose", _iso_not_bijective, "assembled isomorphism is not a bijection"),
     ("compose", _iso_not_hom, "assembled isomorphism fails on a pair"),
     ("tables", _hom_search_leaf, "hom closure produced a non-hom at (0, 1)"),
+    ("tables", _hom_test_alone, "bytes hom test rejects a hom the scan accepts"),
+    ("solutions", _braid_bytes_reject, "bytes braid test rejects a solution the row scan accepts"),
 ]
 
 

@@ -1,10 +1,11 @@
 """The table kernels against brute-force oracles.
 
 Associativity (Light's test on a generating set), compatibility (on a
-generating set of (S, +)) and the braid check (one row over c per (a, b))
-must agree with a plain lexicographic scan of every triple: same verdict,
-law, witness and side.  The equivariance check of glued solutions must
-agree with a scan of every pair, and composition of solutions with its
+generating set of (S, +)) and the braid check (bytes rows and columns up
+to tables.BYTES_BOUND, one row over c per (a, b) above it) must agree
+with a plain lexicographic scan of every triple: same verdict, law,
+witness and side.  The equivariance check of glued solutions must agree
+with a scan of every pair, and composition of solutions with its
 per-entry definition.
 """
 
@@ -186,28 +187,51 @@ def _corrupted(r, rng, entries):
     return SolutionTable(n, tuple(map(tuple, pairs)))
 
 
+def _moved(r, rng, side):
+    """r with one cell's lam value (side 0) or rho value (side 1) moved to
+    another element, the other coordinate kept."""
+    n = r.order
+    pairs = [list(row) for row in r.pairs]
+    a, b = rng.randrange(n), rng.randrange(n)
+    cell = list(pairs[a][b])
+    cell[side] = (cell[side] + rng.randrange(1, n)) % n
+    pairs[a][b] = tuple(cell)
+    return SolutionTable(n, tuple(map(tuple, pairs)))
+
+
 def _solutions():
     out = [wbk.solution_of(s) for _, s in wbk.catalog_structures()]
-    out += [wbk.solution_of(exotic(n).as_dual()) for n in (8, 12)]
-    out.append(wbk.solution_of(exotic_chain((6, 2, 2))))
+    out += [wbk.solution_of(exotic(n).as_dual()) for n in (8, 12, 24, 32)]
+    out += [wbk.solution_of(exotic_chain(orders)) for orders in ((6, 2, 2), (8, 4, 2))]
     return out
 
 
-def test_check_braid_matches_scan():
+def test_check_braid_matches_scan(monkeypatch):
+    # the bytes kernel (orders up to tables.BYTES_BOUND) and the row kernel
+    # (forced by a bound of 0) on the same solutions, corrupted solutions
+    # and random tables, each against the plain scan of every triple
     rng = random.Random(22)
-    failed = 0
+    cases, moved = [], [0, 0]
     for r in _solutions():
-        assert wbk.check_braid(r) is None
-        for _ in range(25):
+        cases.append((r, None))
+        for _ in range(25 if r.order < 24 else 8):
             bad = _corrupted(r, rng, rng.randrange(1, 3))
-            got = wbk.check_braid(bad)
-            assert got == _braid_scan(bad), bad
-            failed += got is not None
+            cases.append((bad, _braid_scan(bad)))
+        for side, _ in product((0, 1), range(6)):
+            bad = _moved(r, rng, side)
+            want = _braid_scan(bad)
+            cases.append((bad, want))
+            moved[side] += want is not None
     for _ in range(500):
         m = rng.randrange(1, 5)
         r = SolutionTable(m, tuple(tuple((rng.randrange(m), rng.randrange(m)) for _ in range(m)) for _ in range(m)))
-        assert wbk.check_braid(r) == _braid_scan(r), r
-    assert failed > 100
+        cases.append((r, _braid_scan(r)))
+    for bound in (tables.BYTES_BOUND, 0):
+        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        for r, want in cases:
+            assert wbk.check_braid(r) == want, (bound, r)
+    assert sum(want is not None for _, want in cases) > 300
+    assert min(moved) > 40
 
 
 def test_check_braid_property():

@@ -23,6 +23,7 @@ from wbk import (
     validate_semilattice,
     validate_skew_brace,
 )
+from wbk import tables
 from wbk.compose import _brace_homs
 from wbk.tables import FiniteGroupTable, _first_non_hom, _generators, _hom_test, _iter_group_homs
 
@@ -414,6 +415,24 @@ def test_hom_test_on_both_sides_of_the_bytes_bound(n):
     one = _cyclic(1)
     assert _hom_test(z, one)((0,) * n) and _hom_test(one, z)((0,))
     assert not _hom_test(one, z)((1,))
+
+
+def test_a_bytes_bound_of_0_forces_the_scan(monkeypatch):
+    scanned = []
+
+    def spy(f, pairs):
+        scanned.append(f)
+        return _first_non_hom(f, pairs)
+
+    monkeypatch.setattr(tables, "_first_non_hom", spy)
+    z = _cyclic(6)
+    maps = [tuple(2 * x % 6 for x in range(6)), (1, 2, 3, 4, 5, 0)]
+    for bound, scans in ((tables.BYTES_BOUND, 0), (0, 2)):
+        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        holds = _hom_test(z, z)
+        assert [holds(f) for f in maps] == [True, False]
+        assert len(scanned) == scans
+        scanned.clear()
 
 
 def test_brace_homs_are_the_mul_homs_that_keep_plus():
