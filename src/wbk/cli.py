@@ -43,6 +43,31 @@ class Report:
     witnesses: list
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for lists, tuples, dicts with str keys and
+    JSON scalars, byte for byte; pad is the line break and indent before
+    obj's closing bracket.  A list of plain ints is one join, and any other
+    list of scalars one call of json's C encoder.
+    """
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        sep, types = "," + inner, set(map(type, obj))
+        if types == {int}:
+            body = sep.join(map(str, obj))
+        elif types <= _SCALARS:
+            body = json.dumps(obj, separators=(sep, ": "))[1:-1]
+        else:
+            body = sep.join([_json(v, inner) for v in obj])
+        return "[" + inner + body + pad + "]"
+    if isinstance(obj, dict) and obj:
+        items = [json.dumps(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(obj)
+
+
 def _emit(report: Report, fmt: str) -> int:
     if fmt == "json":
         obj = {
@@ -51,7 +76,7 @@ def _emit(report: Report, fmt: str) -> int:
             "lines": report.lines,
             "witnesses": report.witnesses,
         }
-        print(json.dumps(obj, indent=2))
+        print(_json(obj))
     else:
         for line in report.lines:
             print(line)

@@ -7,15 +7,17 @@ axiom with the lexicographically smallest witness tuple.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, product, starmap
 from operator import itemgetter
 
 from .errors import InternalInvariantBroken, ValidationError
 
-# the largest order whose elements fit in one byte: up to it, hom streams
-# (_hom_test) and the braid check test whole tables with bytes.translate;
-# above it they scan elementwise
+# the largest order whose elements fit in one byte: up to it, a hom
+# stream's check of each yielded map (_hom_test) and the braid check test
+# whole tables with bytes.translate; above it they scan elementwise.  The
+# hom search's own extension checks (_extension_plan) have no order bound.
 BYTES_BOUND = 256
 
 
@@ -391,51 +393,72 @@ def generating_set(g: FiniteGroupTable) -> list[int]:
     return list(g.gens)
 
 
+def _extension_plan(a: FiniteGroupTable) -> list[tuple]:
+    """Per level i, which adjoins gens[i] to <gens[:i]>: (tree, checks, members).
+
+    Each edge x -> x·gens[j] with x in members = <gens[:i+1]>, j <= i, that
+    no earlier level holds is either a tree entry (x·gens[j], x, j), each
+    parent x before its child, or a check: checks has one (j, xs, ts) per j
+    with x·gens[j] = t for x, t in zip(xs, ts).
+    """
+    op, gens = a.op, a.gens
+    members = [a.identity]
+    reached = {a.identity}
+    plan = []
+    for i in range(len(gens)):
+        tree, edges = [], [([], []) for _ in range(i + 1)]
+        work = deque((x, i) for x in members)
+        while work:
+            x, j = work.popleft()
+            t = op[x][gens[j]]
+            if t in reached:
+                edges[j][0].append(x)
+                edges[j][1].append(t)
+            else:
+                reached.add(t)
+                members.append(t)
+                tree.append((t, x, j))
+                work.extend((t, k) for k in range(i + 1))
+        checks = [(j, xs, ts) for j, (xs, ts) in enumerate(edges) if xs]
+        plan.append((tree, checks, list(members)))
+    return plan
+
+
 def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool = False):
     """Yield the homomorphisms a -> b as image tuples, in lexicographic order.
 
-    Backtracks over the images of a.gens, trying each image in
-    increasing order.  The partial map lives on H = <gens assigned so far>
-    and is extended only by right multiplication with those generators; it
-    survives exactly when it is a hom on H.  Every element below gens[i]
-    lies in <gens[:i]>, so the tuples come out in lexicographic order.
-    With injective, a partial map that repeats an image is dropped.
+    Backtracks over the images of a.gens, trying each image in increasing
+    order.  Assigning gens[i] extends the map from <gens[:i]> to
+    <gens[:i+1]> along the tree entries of level i of _extension_plan; the
+    extension survives exactly when every check of the level holds, i.e.
+    when it is a hom there.  Every element below gens[i] lies in
+    <gens[:i]>, so the tuples come out in lexicographic order.  With
+    injective, an extension that repeats an image is dropped.
     """
-    gens = a.gens
     aop, bop = a.op, b.op
+    cols = list(zip(*bop))
+    plan = [
+        (tree, [(j, _gather(xs), _gather(ts)) for j, xs, ts in checks], members)
+        for tree, checks, members in _extension_plan(a)
+    ]
     f: list = [None] * a.order
     f[a.identity] = b.identity
-    mapped = [a.identity]
-    used = [False] * b.order
-    used[b.identity] = True
     imgs: list[int] = []
 
     def extend(i: int) -> bool:
-        # assign gens[i] -> imgs[i]; close H along gens[:i+1]
-        g, y = gens[i], imgs[i]
-        steps = list(zip(gens[: i + 1], imgs))
-        stack = [(aop[z][g], bop[f[z]][y]) for z in mapped]
-        while stack:
-            x, w = stack.pop()
-            cur = f[x]
-            if cur is not None:
-                if cur != w:
-                    return False
-                continue
-            if injective:
-                if used[w]:
-                    return False
-                used[w] = True
-            f[x] = w
-            mapped.append(x)
-            row_a, row_b = aop[x], bop[w]
-            stack += [(row_a[h], row_b[v]) for h, v in steps]
-        return True
+        # level i's values are all rewritten here, so a failed try needs no undo
+        tree, checks, members = plan[i]
+        for x, p, j in tree:
+            f[x] = bop[f[p]][imgs[j]]
+        for j, xs, ts in checks:
+            if tuple(map(cols[imgs[j]].__getitem__, xs(f))) != ts(f):
+                return False
+        return not injective or len(set(map(f.__getitem__, members))) == len(members)
 
     holds = _hom_test(aop, bop)
 
     def search(i: int):
-        if i == len(gens):
+        if i == len(plan):
             hom = tuple(f)
             if not holds(hom):
                 bad = _first_non_hom(hom, ((aop, bop),))
@@ -444,15 +467,10 @@ def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool =
                 raise InternalInvariantBroken(f"hom closure produced a non-hom at {bad[:2]}")
             yield hom
             return
-        mark = len(mapped)
         for y in range(b.order):
             imgs.append(y)
             if extend(i):
                 yield from search(i + 1)
-            for x in mapped[mark:]:
-                used[f[x]] = False
-                f[x] = None
-            del mapped[mark:]
             imgs.pop()
 
     yield from search(0)

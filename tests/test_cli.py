@@ -1,6 +1,7 @@
 """Command line surface: output lines, exit codes, JSON mode."""
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -392,6 +393,29 @@ def test_json_format(capsys):
     )
     assert code == 1
     assert json.loads("\n".join(out))["status"] == "fail"
+
+
+def test_json_writer_is_json_dumps_indent_2():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.integers() | st.sampled_from([-1, 0, 2**63, -(2**100), 10**40])
+    texts = st.text() | st.sampled_from(['"', "\\", '"q"\\\n\t', "é", " ", "😀", "\x00"])
+    scalars = st.none() | st.booleans() | ints | st.floats() | texts
+    leaves = scalars | st.lists(ints) | st.lists(ints).map(tuple)
+    trees = st.recursive(
+        leaves,
+        lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(texts, kids),
+        max_leaves=20,
+    )
+
+    @hypothesis.given(trees)
+    @hypothesis.example([float("nan"), float("inf"), -float("inf"), True, 1, [], {}, ()])
+    @hypothesis.example([float("nan"), -0.0, 1e300, False, None, 'é"\\', 2**70, -3])
+    @hypothesis.example(functools.reduce(lambda x, k: {k: [x, (), [k]]}, "abcdefghijklmnopqrst", [1, -2]))
+    def check(obj):
+        assert cli._json(obj) == json.dumps(obj, indent=2)
+
+    check()
 
 
 def test_bad_max_order_is_a_usage_error(capsys, monkeypatch):

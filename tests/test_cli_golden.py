@@ -5,8 +5,9 @@ of that command on every input of a set, so any change to the text or JSON
 a command prints fails here.  The catalog set runs on every catalog entry;
 the generated set runs on exotic Z8, Z12 and Z16, the exotic chain
 (8, 4, 2), the non-chain and the opposites of all five, written to
-temporary files whose paths appear in argv as fixed labels.  After an
-intended output change, re-record both sets:
+temporary files whose paths appear in argv as fixed labels.  Every JSON
+report of both sets must also read as json.dumps(report, indent=2).  After
+an intended output change, re-record both sets:
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
@@ -74,26 +75,26 @@ def _run(argv: list, paths: dict) -> list:
     return [argv, code, out.getvalue(), err.getvalue()]
 
 
-def _digests(argvs, paths: dict) -> dict:
+def _runs(argvs, paths: dict) -> dict:
+    """"command format" -> the runs of that command in that format."""
     got = {}
     for command in COMMANDS:
         for fmt in FORMATS:
             runs = [_run(argv + ["--format", fmt], paths) for argv in argvs(command)]
             if runs:
-                blob = json.dumps(runs, ensure_ascii=False).encode()
-                got[f"{command} {fmt}"] = hashlib.sha256(blob).hexdigest()
+                got[f"{command} {fmt}"] = runs
     return got
 
 
-def digests() -> dict:
+def runs() -> dict:
     def argvs(command: str) -> list:
         return [[command]] if command == "catalog" else _argvs(command, _catalog_sources())
 
-    return _digests(argvs, {})
+    return _runs(argvs, {})
 
 
-def generated_digests(workdir: Path) -> dict:
-    """Digests of every command but catalog on the generated inputs, whose
+def generated_runs(workdir: Path) -> dict:
+    """The runs of every command but catalog on the generated inputs, whose
     files go into workdir."""
     sources, paths = [], {}
     for name, x in _generated_inputs().items():
@@ -101,29 +102,41 @@ def generated_digests(workdir: Path) -> dict:
         paths[label] = str(workdir / f"{name}.json")
         Path(paths[label]).write_text(dumps(x))
         sources.append(("--input", "--input2", label, _as_dual(x).idempotents))
-    return _digests(lambda c: [] if c == "catalog" else _argvs(c, sources), paths)
+    return _runs(lambda c: [] if c == "catalog" else _argvs(c, sources), paths)
 
 
-def _compare(want: dict, got: dict) -> None:
+def _digests(runs: dict) -> dict:
+    return {key: hashlib.sha256(json.dumps(r, ensure_ascii=False).encode()).hexdigest()
+            for key, r in runs.items()}
+
+
+def _check(want: dict, runs: dict) -> None:
+    """The digests match want, and every JSON report is
+    json.dumps(report, indent=2) byte for byte."""
+    got = _digests(runs)
     assert got.keys() == want.keys()
     changed = sorted(key for key in want if got[key] != want[key])
     assert not changed, f"CLI output changed for {changed}"
+    reports = [out for key in runs if key.endswith(" json") for argv, code, out, err in runs[key] if out]
+    assert len(reports) > 100
+    for out in reports:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_cli_output_matches_the_recorded_digests():
-    _compare(json.loads(GOLDEN.read_text()), digests())
+    _check(json.loads(GOLDEN.read_text()), runs())
 
 
 def test_cli_output_on_generated_inputs_matches_the_recorded_digests(tmp_path):
-    _compare(json.loads(GOLDEN_GENERATED.read_text()), generated_digests(tmp_path))
+    _check(json.loads(GOLDEN_GENERATED.read_text()), generated_runs(tmp_path))
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_cli_golden.py --record")
     DATA.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps(_digests(runs()), indent=1, sort_keys=True) + "\n")
     with tempfile.TemporaryDirectory() as tmp:
-        generated = generated_digests(Path(tmp))
+        generated = _digests(generated_runs(Path(tmp)))
     GOLDEN_GENERATED.write_text(json.dumps(generated, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN} and {GOLDEN_GENERATED}")

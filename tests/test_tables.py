@@ -2,9 +2,10 @@
 
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
-from conftest import exotic, exotic_chain, non_chain
+from conftest import exotic, exotic_chain, non_chain, relabelled_table
 
 from wbk import (
     InternalInvariantBroken,
@@ -24,8 +25,18 @@ from wbk import (
     validate_skew_brace,
 )
 from wbk import tables
+from wbk.catalog import cyclic_table
 from wbk.compose import _brace_homs
-from wbk.tables import FiniteGroupTable, _first_non_hom, _generators, _hom_test, _iter_group_homs
+from wbk.tables import (
+    FiniteGroupTable,
+    _close,
+    _extension_plan,
+    _first_non_hom,
+    _generators,
+    _hom_test,
+    _iter_group_homs,
+    _mask,
+)
 
 # order-5 loop: Latin, identity 0, every element self-inverse, not associative
 LOOP5 = [
@@ -351,6 +362,53 @@ def test_hom_search_cross_check_fires_on_a_loop():
     loop = FiniteGroupTable(6, op, 0, tuple(row.index(0) for row in op), gens)
     with pytest.raises(InternalInvariantBroken, match=r"^hom closure produced a non-hom at \(1, 3\)$"):
         list(_iter_group_homs(loop, catalog_get("c2")))
+
+
+def _small_groups():
+    """C1-C6, the Klein four-group and Sym3: every group of order <= 6."""
+    cyclic = [validate_group(cyclic_table(n)) for n in range(1, 7)]
+    return cyclic + [catalog_get("klein4"), catalog_get("sym3")]
+
+
+def test_hom_stream_is_the_brute_force_oracle():
+    # every map a -> b in lexicographic order, kept when it is a hom
+    groups = _small_groups()
+    for a in groups:
+        for b in groups:
+            pairs = ((a.op, b.op),)
+            want = [f for f in product(range(b.order), repeat=a.order) if _first_non_hom(f, pairs) is None]
+            assert list(_iter_group_homs(a, b)) == want, (a.order, b.order)
+            bijective = [f for f in want if len(set(f)) == a.order]
+            assert list(_iter_group_homs(a, b, injective=True)) == bijective, (a.order, b.order)
+
+
+def test_extension_plan_holds_each_edge_once_parents_first():
+    groups = _small_groups()
+    groups += [validate_group([[x ^ y for y in range(2**k)] for x in range(2**k)]) for k in (3, 4)]
+    groups += [exotic(n).mul for n in (8, 12, 16)]
+    groups.append(validate_group(relabelled_table(exotic(12).mul.op, random.Random(5).sample(range(12), 12))))
+    for a in groups:
+        op, gens = a.op, a.gens
+        plan = _extension_plan(a)
+        assert len(plan) == len(gens)
+        old = {a.identity}
+        for i, (tree, checks, members) in enumerate(plan):
+            assert _mask(members) == _close(op, _mask([a.identity, *gens[: i + 1]]))
+            assert len(members) == len(set(members))
+            want = sorted((x, j) for x in members for j in range(i + 1) if x not in old or j == i)
+            got = []
+            defined = set(old)
+            for t, x, j in tree:
+                assert x in defined and t not in defined and op[x][gens[j]] == t
+                defined.add(t)
+                got.append((x, j))
+            assert defined == set(members)
+            for j, xs, ts in checks:
+                assert [op[x][gens[j]] for x in xs] == ts
+                got += [(x, j) for x in xs]
+            assert sorted(got) == want, (a.order, i)
+            old = defined
+        assert old == set(range(a.order))
 
 
 def _cyclic(n):
