@@ -196,7 +196,10 @@ def are_isomorphic(s: DualWeakBrace, t: DualWeakBrace) -> IsomorphismWitness | N
                 return hit
         return None
 
-    hit = search((), ())
+    try:
+        hit = search((), ())
+    finally:
+        del search  # it holds itself through its cell
     if hit is None:
         return None
     eta, thetas = hit

@@ -396,8 +396,9 @@ def enumerate_ideals(s: DualWeakBrace) -> IdealEnumeration:
     mode = "exhaustive" if s.order <= EXHAUSTIVE_BOUND else "closure"
     n, add = s.order, s.add.op
     images = _ideal_images(s)
-    least = _close(add, _mask(s.idempotents), images)
-    principal = [_close(add, least | 1 << x, images, least) for x in range(n)]
+    gens: list[int] = []
+    least = _close(add, _mask(s.idempotents), images, gens=gens)
+    principal = [_close(add, least | 1 << x, images, least, list(gens)) for x in range(n)]
     members = {p: _elements(p) for p in principal}
     if mode == "exhaustive":
         masks = []
@@ -414,7 +415,10 @@ def enumerate_ideals(s: DualWeakBrace) -> IdealEnumeration:
                 search(x + 1, nxt, exc)
             search(x + 1, inc, exc | 1 << x)
 
-        search(0, least, 0)
+        try:
+            search(0, least, 0)
+        finally:
+            del search  # it holds itself through its cell
     else:
         masks, seen = [least], {least}
         for i in masks:

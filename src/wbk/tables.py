@@ -262,9 +262,26 @@ class CliffordTable:
         return self.op[a][self.inv[a]]
 
     def transpose(self) -> "CliffordTable":
-        # _close closes under op in both orders, so the greedy set is shared
+        # an associative table and its transpose generate the same
+        # subsemigroups (a word read backwards), so the greedy set is shared
         t = tuple(tuple(self.op[b][a] for b in range(self.order)) for a in range(self.order))
         return CliffordTable(self.order, t, self.inv, self.idempotents, self.gens)
+
+
+def _inverses(op, ident: int) -> list[int]:
+    """Per a, the least x with ax = e = xa; raise no_inverse (a,) at the
+    first a without one.  Row a is searched for e with row.index, and each
+    hit x is kept only when column a holds e at x too."""
+    inv = []
+    for a, row in enumerate(op):
+        try:
+            x = row.index(ident)
+            while op[x][a] != ident:
+                x = row.index(ident, x + 1)
+        except ValueError:
+            raise ValidationError("no_inverse", (a,)) from None
+        inv.append(x)
+    return inv
 
 
 def validate_group(raw) -> FiniteGroupTable:
@@ -277,12 +294,7 @@ def validate_group(raw) -> FiniteGroupTable:
     )
     if ident is None:
         raise ValidationError("no_identity")
-    inv = []
-    for a in range(n):
-        x = next((x for x in range(n) if op[a][x] == ident and op[x][a] == ident), None)
-        if x is None:
-            raise ValidationError("no_inverse", (a,))
-        inv.append(x)
+    inv = _inverses(op, ident)
     # Light's test may skip the identity: e is in K, since (ae)c = ac = a(ec)
     gens = tuple(_generators(op, 1 << ident))
     bad = _first_nonassoc(op, gens)
@@ -348,29 +360,56 @@ def _elements(mask: int) -> list[int]:
     return [a for a, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-def _close(op, seed: int, unary=None, done: int = 0) -> int:
-    """Least superset of the bitmask seed closed under op in both orders and,
-    when given, under unary: unary[x] is the bitmask of x's unary images.
+def _close(op, seed: int, unary=None, done: int = 0, gens=None) -> int:
+    """Least superset of the bitmask seed closed under op and, when given,
+    under unary: unary[x] is the bitmask of x's unary images.
 
-    done is a part of seed that is already closed; only the rest of seed
-    needs a visit.
+    done is a part of seed that is already closed, and gens a list that
+    generates it under op (every member of done when None).  The members
+    of seed outside done, and every element that enters as a unary image,
+    are new generators: they are appended to gens, so that on return gens
+    generates the closure.
+
+    The closure multiplies on the right by generators only, the idea of
+    Dimino's algorithm: each new member by every generator, and every
+    earlier member by each new generator, for |closure|·|gens| table reads
+    in place of |closure|².  It reaches the least set holding seed that is
+    closed under x -> x·g for every g in gens and under unary.  On an
+    associative table the right products of gens are every product of
+    them, so this is the least superset closed under op.  On any other
+    table the set lies inside the closure under op in both orders, and
+    when it is the whole table, gens generate the table under op.
     """
-    members = seed
-    mem = _elements(seed)
-    work = _elements(seed & ~done)
-    while work:
-        x = work.pop()
-        row = op[x]
-        new = 0 if unary is None else unary[x]
-        for y in mem:
-            new |= 1 << row[y] | 1 << op[y][x]
-        new &= ~members
-        if new:
-            members |= new
-            fresh = _elements(new)
-            mem += fresh
-            work += fresh
-    return members
+    members = _elements(done)  # multiplied by every generator so far
+    gens = list(members) if gens is None else gens
+    reach = seed | done
+    arrivals = _elements(seed & ~done)  # generators not yet in gens
+    seen = bytearray(len(op))
+    for x in members + arrivals:
+        seen[x] = 1
+    work: list[int] = []  # members not yet multiplied by the generators
+    while arrivals or work:
+        if arrivals:
+            g = arrivals.pop()
+            gens.append(g)
+            work.append(g)
+            products = map(itemgetter(g), map(op.__getitem__, members))
+        else:
+            x = work.pop()
+            members.append(x)
+            products = map(op[x].__getitem__, gens)
+            images = 0 if unary is None else unary[x] & ~reach
+            if images:
+                reach |= images
+                for t in _elements(images):
+                    seen[t] = 1
+                    arrivals.append(t)
+        for t in products:
+            if not seen[t]:
+                seen[t] = 1
+                work.append(t)
+                reach |= 1 << t
+    return reach
 
 
 def _generators(op, reach: int = 0) -> list[int]:
@@ -378,14 +417,18 @@ def _generators(op, reach: int = 0) -> list[int]:
     repeatedly adjoin the least element not yet reached.
 
     Each gens[i] is the least element outside the closure of reach and
-    gens[:i], so every element below gens[i] lies in that closure.
+    gens[:i], so every element below gens[i] lies in that closure.  The
+    members of reach count as its generators.  On a table not yet known to
+    be associative the closures reach right products only (see _close), but
+    the loop runs until they reach every element, so gens still generate
+    the table under op, as Light's test needs.
     """
-    gens: list[int] = []
+    span = _elements(reach)
+    start = len(span)
     while reach != (1 << len(op)) - 1:
         x = (~reach & (reach + 1)).bit_length() - 1  # least bit not set
-        gens.append(x)
-        reach = _close(op, reach | 1 << x, done=reach)
-    return gens
+        reach = _close(op, reach | 1 << x, done=reach, gens=span)
+    return span[start:]
 
 
 def generating_set(g: FiniteGroupTable) -> list[int]:
@@ -473,7 +516,10 @@ def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool =
                 yield from search(i + 1)
             imgs.pop()
 
-    yield from search(0)
+    try:
+        yield from search(0)
+    finally:
+        del search  # it holds itself through its cell; also on an abandoned stream
 
 
 def enumerate_group_homs(a: FiniteGroupTable, b: FiniteGroupTable) -> list[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -60,6 +61,13 @@ def exotic_chain_spec(orders):
 def exotic_chain(orders):
     """The dual weak brace composed from exotic_chain_spec(orders)."""
     return wbk.compose(exotic_chain_spec(orders))
+
+
+def symmetric_table(k):
+    """The Cayley table of S_k on its permutations in sorted order, (pq)(i) = p(q(i))."""
+    perms = sorted(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[i] for i in q)] for q in perms] for p in perms]
 
 
 def relabelled_table(table, perm):

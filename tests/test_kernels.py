@@ -6,17 +6,21 @@ to tables.BYTES_BOUND, one row over c per (a, b) above it) must agree
 with a plain lexicographic scan of every triple: same verdict, law,
 witness and side.  The equivariance check of glued solutions must agree
 with a scan of every pair, and composition of solutions with its
-per-entry definition.
+per-entry definition.  The inverse search of validate_group must find the
+inverse a scan of every x finds.  The recursive searches must leave no
+reference cycle behind.
 """
 
+import gc
 import random
-from itertools import product
+from math import gcd
+from itertools import islice, product
 
 import pytest
-from conftest import exotic, exotic_chain, exotic_chain_spec, relabelled_table
+from conftest import exotic, exotic_chain, exotic_chain_spec, relabelled_table, symmetric_table
 
 import wbk
-from wbk import SolutionTable, ValidationError, braces, tables
+from wbk import SolutionTable, ValidationError, braces, tables, validate_group
 from wbk.tables import _close, _first_nonassoc, _generators, _mask
 
 # gens = [0], and the least non-associative triple (0, 1, 0) has its middle
@@ -116,6 +120,153 @@ def test_light_property():
         _check_magma(op)
 
     check()
+
+
+def _group_bases():
+    out = [wbk.catalog_get(name).op for name, kind, _ in wbk.catalog_list() if kind == "group"]
+    out += [t.op for n in range(2, 17, 2) for t in (exotic(n).add, exotic(n).mul)]
+    out += [[[a ^ b for b in range(8)] for a in range(8)], symmetric_table(4)]
+    # a group whose identity is not 0
+    return out + [relabelled_table(symmetric_table(3), [3, 0, 5, 1, 4, 2])]
+
+
+def _semilattice_bases():
+    chains = [[[min(a, b) for b in range(n)] for a in range(n)] for n in (3, 5, 8)]
+    subsets = [[[a & b for b in range(1 << k)] for a in range(1 << k)] for k in (2, 3, 4)]
+    divisors = [d for d in range(1, 37) if 36 % d == 0]
+    gcds = [[divisors.index(gcd(a, b)) for b in divisors] for a in divisors]
+    return chains + subsets + [gcds]
+
+
+def _clifford_bases():
+    return [t for add, mul in _bases() for t in (add, mul)]
+
+
+def _expect_least_nonassoc(validate, op, seen):
+    want = _nonassoc_scan(op)
+    got = _outcome(validate, op)
+    if want is not None:
+        assert got == ("not_associative", want, None), (validate.__name__, op)
+    seen.add(want)
+
+
+def test_validators_report_the_least_nonassociative_triple():
+    # tables that pass every check before associativity, made non-associative:
+    # a group row with two entries swapped (neither the identity, so the
+    # identity and the inverses stay), a semilattice meet moved on both sides
+    # of the diagonal, one entry of a Clifford table changed
+    rng = random.Random(33)
+    seen = {"group": set(), "semilattice": set(), "clifford": set()}
+    for base in _group_bases():
+        e = validate_group(base).identity
+        n = len(base)
+        for _ in range(40 if n > 2 else 0):
+            op = [list(row) for row in base]
+            for _ in range(rng.randrange(1, 3)):
+                a = rng.choice([x for x in range(n) if x != e])
+                cells = [b for b in range(n) if b != e and op[a][b] != e]
+                if len(cells) > 1:
+                    b, c = rng.sample(cells, 2)
+                    op[a][b], op[a][c] = op[a][c], op[a][b]
+            _expect_least_nonassoc(wbk.validate_group, op, seen["group"])
+    for base in _semilattice_bases():
+        n = len(base)
+        for _ in range(40):
+            op = [list(row) for row in base]
+            a, b = rng.sample(range(n), 2)
+            op[a][b] = op[b][a] = rng.randrange(n)
+            _expect_least_nonassoc(wbk.validate_semilattice, op, seen["semilattice"])
+    for base in _clifford_bases():
+        n = len(base)
+        for _ in range(6 if n > 1 else 0):
+            op = [list(row) for row in base]
+            op[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            _expect_least_nonassoc(wbk.validate_clifford, op, seen["clifford"])
+    for kind, witnesses in seen.items():
+        # many distinct witnesses, not all with b among the first elements
+        assert len(witnesses - {None}) > 30, kind
+        assert any(w is not None and w[1] > 1 for w in witnesses), kind
+
+
+def _inverse_scan(op, ident):
+    """The inverses by the rule's definition: per a, the least x with
+    ax = e = xa over every x; ("no_inverse", (a,)) at the first a without."""
+    inv = []
+    for a in range(len(op)):
+        x = next((x for x in range(len(op)) if op[a][x] == ident and op[x][a] == ident), None)
+        if x is None:
+            return ("no_inverse", (a,))
+        inv.append(x)
+    return inv
+
+
+def test_inverse_search_matches_scan():
+    # group tables with the identity written into other cells of a row (an
+    # earlier e whose column fails), removed from a row, or removed from a
+    # column; the identity's own row and column stay
+    rng = random.Random(34)
+    outcomes, skipped = set(), 0
+    for base in _group_bases():
+        g = validate_group(base)
+        e, n = g.identity, g.order
+        for _ in range(60 if n > 2 else 0):
+            op = [list(row) for row in base]
+            for _ in range(rng.randrange(1, 4)):
+                a = rng.choice([x for x in range(n) if x != e])
+                kind = rng.randrange(3)
+                if kind == 0:
+                    op[a][rng.choice([x for x in range(n) if x != e])] = e
+                else:
+                    x, y = (a, g.inv[a]) if kind == 1 else (g.inv[a], a)
+                    op[x][y] = rng.choice([v for v in range(n) if v != e])
+            want = _inverse_scan(op, e)
+            try:
+                got = tables._inverses(op, e)
+            except ValidationError as err:
+                got = (err.law, err.witness)
+            assert got == want, op
+            outcomes.add(want[0] if isinstance(want, tuple) else "found")
+            # rows holding e at some x before their inverse, whose column fails
+            if isinstance(want, list):
+                skipped += sum(op[a].index(e) < x for a, x in enumerate(want))
+            got = _outcome(wbk.validate_group, op)
+            if isinstance(want, tuple):
+                assert got == want + (None,), op
+            elif got == "valid":
+                assert wbk.validate_group(op).inv == tuple(want)
+    assert outcomes == {"found", "no_inverse"} and skipped > 50
+
+
+def _leftover_searches(run):
+    """The functions named search that only the cyclic collector frees
+    after run(), which runs with the collector off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return [obj for obj in gc.garbage if getattr(obj, "__name__", None) == "search"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def test_searches_leave_no_reference_cycle():
+    s, t = exotic(8).as_dual(), exotic_chain((4, 2))
+    g, h = exotic(8).add, exotic(8).mul
+    runs = {
+        "enumerate_ideals": lambda: wbk.enumerate_ideals(s),
+        "full hom stream": lambda: list(tables._iter_group_homs(g, h)),
+        "abandoned hom stream": lambda: list(islice(tables._iter_group_homs(g, g), 2)),
+        "are_isomorphic (yes)": lambda: wbk.are_isomorphic(t, t),
+        "are_isomorphic (no)": lambda: wbk.are_isomorphic(s, s.opposite()),
+    }
+    for name, run in runs.items():
+        assert _leftover_searches(run) == [], name
 
 
 def _raw(s):
