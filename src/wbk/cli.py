@@ -11,6 +11,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from . import ideals, series, solutions
 from .braces import DualWeakBrace, SkewBrace
@@ -50,7 +51,9 @@ def _json(obj, pad: str = "\n") -> str:
     """json.dumps(obj, indent=2) for lists, tuples, dicts with str keys and
     JSON scalars, byte for byte; pad is the line break and indent before
     obj's closing bracket.  A list of plain ints is one join, and any other
-    list of scalars one call of json's C encoder.
+    list of scalars one call of json's C encoder.  A list of rows of one
+    length holding only plain ints (no bools or int subclasses), such as
+    witness maps, formats every row with one %d template.
     """
     inner = pad + "  "
     if isinstance(obj, (list, tuple)) and obj:
@@ -59,6 +62,11 @@ def _json(obj, pad: str = "\n") -> str:
             body = sep.join(map(str, obj))
         elif types <= _SCALARS:
             body = json.dumps(obj, separators=(sep, ": "))[1:-1]
+        elif (types <= {list, tuple} and len(set(map(len, obj))) == 1
+              and set(map(type, chain.from_iterable(obj))) == {int}):
+            deeper = inner + "  "
+            row = "[" + deeper + ("," + deeper).join(["%d"] * len(obj[0])) + inner + "]"
+            body = sep.join(map(row.__mod__, map(tuple, obj)))
         else:
             body = sep.join([_json(v, inner) for v in obj])
         return "[" + inner + body + pad + "]"

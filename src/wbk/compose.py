@@ -112,16 +112,23 @@ def decompose(s: DualWeakBrace) -> StrongSemilatticeSpec:
 
 def _brace_homs(a: SkewBrace, b: SkewBrace, injective: bool = False):
     """The brace homs a -> b (injective ones only, with injective), lazily
-    and in lexicographic order: the homs a.mul -> b.mul that also carry
-    a.add into b.add; the mul closure pins every value.
+    and in lexicographic order: the homs of one group of a into the same
+    group of b that also carry the other table.  The search runs on the
+    group of a with fewer greedy generators (∘ on a tie), since each
+    generator is one level of candidates, and filters by the other; both
+    streams are in lexicographic order, so the choice cannot change the
+    stream.
 
     When + is ∘ on both sides (every trivial brace) there is nothing to
     filter: the hom search has already checked each map on that table pair.
     """
-    mul_homs = _iter_group_homs(a.mul, b.mul, injective)
     if a.add.op == a.mul.op and b.add.op == b.mul.op:
-        return mul_homs
-    return filter(_hom_test(a.add.op, b.add.op), mul_homs)
+        return _iter_group_homs(a.mul, b.mul, injective)
+    sides = [(a.mul, b.mul), (a.add, b.add)]
+    if len(a.add.gens) < len(a.mul.gens):
+        sides.reverse()
+    (src, dst), (kept, kept_dst) = sides
+    return filter(_hom_test(kept.op, kept_dst.op), _iter_group_homs(src, dst, injective))
 
 
 def enumerate_skew_brace_homs(a: SkewBrace, b: SkewBrace) -> list[tuple[int, ...]]:

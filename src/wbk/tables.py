@@ -7,17 +7,17 @@ axiom with the lexicographically smallest witness tuple.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, product, starmap
 from operator import itemgetter
 
 from .errors import InternalInvariantBroken, ValidationError
 
-# the largest order whose elements fit in one byte: up to it, a hom
-# stream's check of each yielded map (_hom_test) and the braid check test
-# whole tables with bytes.translate; above it they scan elementwise.  The
-# hom search's own extension checks (_extension_plan) have no order bound.
+# the largest order whose elements fit in one byte: up to it, the hom
+# search (its extension steps and checks, _iter_group_homs), the check of
+# each map it yields (_hom_test) and the braid check run on bytes with
+# bytes.translate; above it the search runs the same plan on lists and
+# the checks scan elementwise.
 BYTES_BOUND = 256
 
 
@@ -225,18 +225,24 @@ def _first_non_hom(f, pairs) -> tuple[int, int, int] | None:
 def _hom_test(src, dst):
     """holds(f): whether f[src[x][y]] == dst[f[x]][f[y]] for every (x, y),
     i.e. _first_non_hom(f, ((src, dst),)) is None.  With both orders at most
-    BYTES_BOUND the pair is encoded once as bytes, and each map costs n + 1
-    translates (src by f, f by row f[x] of dst) and one compare; larger
-    tables are scanned.
+    BYTES_BOUND the pair is encoded once as bytes, and each map costs
+    min(n, m) + 1 translates and one compare: src by f, and f by each row of
+    dst (by row f[x] for every x when dst has as many rows as src or more);
+    larger tables are scanned.
     """
     if max(len(src), len(dst)) > BYTES_BOUND:
         return lambda f: _first_non_hom(f, ((src, dst),)) is None
     flat = bytes(chain.from_iterable(src))
     pads = [bytes(row).ljust(256, b"\0") for row in dst]
+    few = len(dst) < len(src)
 
     def holds(f) -> bool:
         fb = bytes(f)
-        return flat.translate(fb.ljust(256, b"\0")) == b"".join([fb.translate(pads[w]) for w in f])
+        if few:
+            rows = map(list(map(fb.translate, pads)).__getitem__, f)
+        else:
+            rows = map(fb.translate, map(pads.__getitem__, f))
+        return flat.translate(fb.ljust(256, b"\0")) == b"".join(rows)
 
     return holds
 
@@ -442,29 +448,79 @@ def _extension_plan(a: FiniteGroupTable) -> list[tuple]:
     Each edge x -> x·gens[j] with x in members = <gens[:i+1]>, j <= i, that
     no earlier level holds is either a tree entry (x·gens[j], x, j), each
     parent x before its child, or a check: checks has one (j, xs, ts) per j
-    with x·gens[j] = t for x, t in zip(xs, ts).
+    with x·gens[j] = t for x, t in zip(xs, ts).  The edges are taken
+    breadth first, so members is the identity followed by every level's
+    tree targets in tree order: the slot order in which _plan_slots
+    compiles the plan for the search.
     """
     op, gens = a.op, a.gens
     members = [a.identity]
-    reached = {a.identity}
+    reached = bytearray(a.order)
+    reached[a.identity] = 1
     plan = []
     for i in range(len(gens)):
         tree, edges = [], [([], []) for _ in range(i + 1)]
-        work = deque((x, i) for x in members)
-        while work:
-            x, j = work.popleft()
-            t = op[x][gens[j]]
-            if t in reached:
-                edges[j][0].append(x)
-                edges[j][1].append(t)
-            else:
-                reached.add(t)
-                members.append(t)
-                tree.append((t, x, j))
-                work.extend((t, k) for k in range(i + 1))
+        # breadth first: each old member by gens[i], then each new member,
+        # in the order it is reached, by gens[0], ..., gens[i]
+        old = len(members)
+        for pos, x in enumerate(members):  # members grows while it is read
+            row = op[x]
+            for j in (i,) if pos < old else range(i + 1):
+                t = row[gens[j]]
+                if reached[t]:
+                    edges[j][0].append(x)
+                    edges[j][1].append(t)
+                else:
+                    reached[t] = 1
+                    members.append(t)
+                    tree.append((t, x, j))
         checks = [(j, xs, ts) for j, (xs, ts) in enumerate(edges) if xs]
         plan.append((tree, checks, list(members)))
     return plan
+
+
+def _plan_slots(a: FiniteGroupTable) -> tuple[list[int], list[tuple]]:
+    """_extension_plan compiled to plan slots: (elems, levels).
+
+    Slot s holds elems[s]: the identity takes slot 0 and each level's tree
+    targets the next slots in tree order, so level i fills one contiguous
+    slice and <gens[:i+1]> is slots [0, count).  levels[i] is (steps,
+    checks, count), in slots:
+    - a step (r0, r1, j, parents) fills slots r0..r1-1, slot s with its
+      parent's value times gens[j].  A tuple of parents, all in slots
+      before r0, is a run: consecutive tree entries that share j.  An int
+      parent is a chain: it is the parent of r0, and each later slot's
+      parent is the slot before it (a single tree entry is a chain of one);
+    - a check (j, xs, ts) says x·gens[j] = t for x, t in zip(xs, ts).
+    """
+    plan = _extension_plan(a)
+    elems = plan[-1][2] if plan else [a.identity]
+    slot = dict(zip(elems, range(len(elems))))
+    levels = []
+    for tree, checks, members in plan:
+        steps = []  # [r0, r1, j, parents]: a list for a run or one entry, an int for a chain
+        for r, (_, x, j) in enumerate(tree, len(members) - len(tree)):
+            p = slot[x]
+            last = steps[-1] if steps and steps[-1][2] == j else None
+            if last and type(last[3]) is list and p < last[0]:
+                last[3].append(p)
+            elif last and p == r - 1 and (type(last[3]) is int or len(last[3]) == 1):
+                last[3] = last[3][0] if type(last[3]) is list else last[3]
+            else:
+                last = [r, r, j, [p]]
+                steps.append(last)
+            last[1] = r + 1
+        levels.append((
+            [(r0, r1, j, ps if type(ps) is int else ps[0] if len(ps) == 1 else tuple(ps)) for r0, r1, j, ps in steps],
+            [(j, tuple(map(slot.get, xs)), tuple(map(slot.get, ts))) for j, xs, ts in checks],
+            len(members),
+        ))
+    return elems, levels
+
+
+def _map_through(seq, col) -> tuple:
+    """tuple(col[v] for v in seq): seq.translate(col) for the list plan."""
+    return tuple(map(col.__getitem__, seq))
 
 
 def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool = False):
@@ -472,52 +528,79 @@ def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool =
 
     Backtracks over the images of a.gens, trying each image in increasing
     order.  Assigning gens[i] extends the map from <gens[:i]> to
-    <gens[:i+1]> along the tree entries of level i of _extension_plan; the
-    extension survives exactly when every check of the level holds, i.e.
-    when it is a hom there.  Every element below gens[i] lies in
-    <gens[:i]>, so the tuples come out in lexicographic order.  With
+    <gens[:i+1]> along the steps of level i of _plan_slots, held in fp by
+    slot; the extension survives exactly when every check of the level
+    holds, i.e. when it is a hom there.  Every element below gens[i] lies
+    in <gens[:i]>, so the tuples come out in lexicographic order.  With
     injective, an extension that repeats an image is dropped.
+
+    With both orders at most BYTES_BOUND, fp is a 256-byte table: a run
+    is two bytes.translate calls (its parent slots by fp, then by b's
+    column of the image of gens[j]) and a check group three.  Larger
+    orders run the same loop on a list, gathering with itemgetter.  Chains
+    and single checks index scalars, and every yielded map is checked in
+    full by _hom_test.
     """
     aop, bop = a.op, b.op
-    cols = list(zip(*bop))
-    plan = [
-        (tree, [(j, _gather(xs), _gather(ts)) for j, xs, ts in checks], members)
-        for tree, checks, members in _extension_plan(a)
-    ]
-    f: list = [None] * a.order
-    f[a.identity] = b.identity
-    imgs: list[int] = []
+    elems, levels = _plan_slots(a)
+    if max(a.order, b.order) > BYTES_BOUND:
+        fp, tr, enc, cols = [0] * a.order, _map_through, _gather, list(zip(*bop))
+    else:
+        fp, tr, enc = bytearray(256), bytes.translate, lambda idx: bytes(idx).translate
+        cols = [bytes(col).ljust(256, b"\0") for col in zip(*bop)]
+    plan = []
+    for steps, checks, count in levels:
+        steps = [(r0, r1, j, ps if type(ps) is int else enc(ps)) for r0, r1, j, ps in steps]
+        singles = [(j, xs[0], ts[0]) for j, xs, ts in checks if len(xs) == 1]
+        groups = [(j, enc(xs), enc(ts)) for j, xs, ts in checks if len(xs) > 1]
+        plan.append((steps, singles, groups, count))
+    unplan = enc(sorted(range(a.order), key=elems.__getitem__))  # slot of each element
+    fp[0] = b.identity
+    chosen: list = [None] * len(plan)  # b's column of the image of each gens[j]
 
     def extend(i: int) -> bool:
-        # level i's values are all rewritten here, so a failed try needs no undo
-        tree, checks, members = plan[i]
-        for x, p, j in tree:
-            f[x] = bop[f[p]][imgs[j]]
-        for j, xs, ts in checks:
-            if tuple(map(cols[imgs[j]].__getitem__, xs(f))) != ts(f):
+        # level i's slots are all rewritten here, so a failed try needs no undo
+        steps, singles, groups, count = plan[i]
+        for r0, r1, j, src in steps:
+            col = chosen[j]
+            if type(src) is int:
+                v = fp[src]
+                for s in range(r0, r1):
+                    v = fp[s] = col[v]
+            else:
+                fp[r0:r1] = tr(src(fp), col)
+        for j, x, t in singles:
+            if chosen[j][fp[x]] != fp[t]:
                 return False
-        return not injective or len(set(map(f.__getitem__, members))) == len(members)
+        for j, xs, ts in groups:
+            if tr(xs(fp), chosen[j]) != ts(fp):
+                return False
+        return not injective or len(set(fp[:count])) == count
 
     holds = _hom_test(aop, bop)
 
+    def leaf() -> tuple:
+        hom = unplan(fp)
+        if not holds(hom):
+            bad = _first_non_hom(hom, ((aop, bop),))
+            if bad is None:
+                raise InternalInvariantBroken("bytes hom test rejects a hom the scan accepts")
+            raise InternalInvariantBroken(f"hom closure produced a non-hom at {bad[:2]}")
+        return tuple(hom)
+
+    last = len(plan) - 1
+
     def search(i: int):
-        if i == len(plan):
-            hom = tuple(f)
-            if not holds(hom):
-                bad = _first_non_hom(hom, ((aop, bop),))
-                if bad is None:
-                    raise InternalInvariantBroken("bytes hom test rejects a hom the scan accepts")
-                raise InternalInvariantBroken(f"hom closure produced a non-hom at {bad[:2]}")
-            yield hom
-            return
-        for y in range(b.order):
-            imgs.append(y)
+        for col in cols:  # the images of gens[i] in increasing order
+            chosen[i] = col
             if extend(i):
-                yield from search(i + 1)
-            imgs.pop()
+                if i == last:
+                    yield leaf()
+                else:
+                    yield from search(i + 1)
 
     try:
-        yield from search(0)
+        yield from search(0) if plan else (leaf(),)
     finally:
         del search  # it holds itself through its cell; also on an abandoned stream
 

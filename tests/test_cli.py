@@ -1,6 +1,7 @@
 """Command line surface: output lines, exit codes, JSON mode."""
 
 import argparse
+import enum
 import functools
 import json
 import os
@@ -412,6 +413,47 @@ def test_json_writer_is_json_dumps_indent_2():
     @hypothesis.example([float("nan"), float("inf"), -float("inf"), True, 1, [], {}, ()])
     @hypothesis.example([float("nan"), -0.0, 1e300, False, None, 'é"\\', 2**70, -3])
     @hypothesis.example(functools.reduce(lambda x, k: {k: [x, (), [k]]}, "abcdefghijklmnopqrst", [1, -2]))
+    def check(obj):
+        assert cli._json(obj) == json.dumps(obj, indent=2)
+
+    check()
+
+
+class Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 7
+
+
+def test_json_writer_formats_int_rows_as_json_dumps():
+    # the one-template path for rows of plain ints, and every near miss
+    # that must take the old path: ragged or empty rows, bools, IntEnum
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.integers() | st.sampled_from([0, -1, 255, 2**70, -(10**30)])
+    cells = ints | st.booleans() | st.sampled_from(list(Level))
+
+    def seqs(items, lo, hi):
+        return st.lists(items, min_size=lo, max_size=hi) | st.lists(items, min_size=lo, max_size=hi).map(tuple)
+
+    def tables(items):
+        # rows of one length k, 0 to 5
+        return st.integers(0, 5).flatmap(lambda k: st.lists(seqs(items, k, k), max_size=6))
+
+    rows = tables(ints) | tables(cells) | st.lists(seqs(ints, 0, 5), max_size=6)
+    trees = st.recursive(
+        rows,
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=4),
+        max_leaves=8,
+    )
+
+    @hypothesis.given(trees)
+    @hypothesis.example([[0, 1, 2], (3, 4, 5), [2**70, -1, 0]])
+    @hypothesis.example([[0, 1], [2]])
+    @hypothesis.example([[], []])
+    @hypothesis.example([[0, True], [1, 0]])
+    @hypothesis.example([[0, Level.HIGH], [1, 0]])
+    @hypothesis.example({"witnesses": [[1, 2], [3, 4]], "lines": [[5], [6]]})
+    @hypothesis.example([[[0, 1], [1, 0]], [[1, 0], [0, 1]]])
     def check(obj):
         assert cli._json(obj) == json.dumps(obj, indent=2)
 

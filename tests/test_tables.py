@@ -1,11 +1,12 @@
 """Group, semilattice, and Clifford table validation plus hom enumeration."""
 
 import random
+import sys
 from dataclasses import replace
 from itertools import product
 
 import pytest
-from conftest import exotic, exotic_chain, non_chain, relabelled_table
+from conftest import exotic, exotic_chain, non_chain, relabelled_table, symmetric_table
 
 from wbk import (
     InternalInvariantBroken,
@@ -35,7 +36,9 @@ from wbk.tables import (
     _generators,
     _hom_test,
     _iter_group_homs,
+    _map_through,
     _mask,
+    _plan_slots,
 )
 
 # order-5 loop: Latin, identity 0, every element self-inverse, not associative
@@ -370,16 +373,143 @@ def _small_groups():
     return cyclic + [catalog_get("klein4"), catalog_get("sym3")]
 
 
+def _product_homs(a, b):
+    """Brute force: every map a -> b in lexicographic order, kept when it is a hom."""
+    pairs = ((a.op, b.op),)
+    return [f for f in product(range(b.order), repeat=a.order) if _first_non_hom(f, pairs) is None]
+
+
+def _generated_homs(g, h, pairs):
+    """Brute force over generator images, in lexicographic order: each
+    choice of images in h of a greedy generating set of the group g fixes
+    one map along a breadth-first tree, f(x·s) = f(x)·f(s) in h (so every
+    hom g -> h is one of them), kept when f[src[x][y]] == dst[f[x]][f[y]]
+    for every (src, dst) in pairs and every (x, y)."""
+    gens = []
+    while len(_subgroup(g, gens)) < g.order:
+        gens.append(min(set(range(g.order)) - _subgroup(g, gens)))
+    tree, seen, order = [], {g.identity}, [g.identity]
+    for x in order:  # grows while it is read: breadth first
+        for k, s in enumerate(gens):
+            t = g.op[x][s]
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+                tree.append((t, x, k))
+    n, out = g.order, []
+    for imgs in product(range(h.order), repeat=len(gens)):
+        f = [None] * n
+        f[g.identity] = h.identity
+        for t, x, k in tree:
+            f[t] = h.op[f[x]][imgs[k]]
+        if all(f[src[x][y]] == dst[f[x]][f[y]] for src, dst in pairs for x in range(n) for y in range(n)):
+            out.append(tuple(f))
+    return sorted(out)
+
+
+def _bijective(maps):
+    return [f for f in maps if len(set(f)) == len(f)]
+
+
+def _relabel_brace(s, perm):
+    t = relabel(s.as_dual(), perm)
+    return validate_skew_brace(t.add.op, t.mul.op)
+
+
+def _opposite_brace(s):
+    t = s.as_dual().opposite()
+    return validate_skew_brace(t.add.op, t.mul.op)
+
+
 def test_hom_stream_is_the_brute_force_oracle():
     # every map a -> b in lexicographic order, kept when it is a hom
     groups = _small_groups()
     for a in groups:
         for b in groups:
-            pairs = ((a.op, b.op),)
-            want = [f for f in product(range(b.order), repeat=a.order) if _first_non_hom(f, pairs) is None]
+            want = _product_homs(a, b)
             assert list(_iter_group_homs(a, b)) == want, (a.order, b.order)
-            bijective = [f for f in want if len(set(f)) == a.order]
-            assert list(_iter_group_homs(a, b, injective=True)) == bijective, (a.order, b.order)
+            assert list(_iter_group_homs(a, b, injective=True)) == _bijective(want), (a.order, b.order)
+    # brace pairs with + != ∘, each fixed by its images of generators of +:
+    # the stream searches one group and filters by the other table
+    rng = random.Random(7)
+    braces = [exotic(n) for n in range(4, 13, 2)]
+    braces += [_opposite_brace(validate_skew_brace(g.op, g.op)) for g in (catalog_get("sym3"), exotic(8).mul)]
+    braces += [_relabel_brace(b, rng.sample(range(b.order), b.order)) for b in braces]
+    assert all(b.add != b.mul for b in braces)
+    nontrivial = 0
+    for a in braces:
+        for b in braces:
+            want = _generated_homs(a.add, b.add, ((a.add.op, b.add.op), (a.mul.op, b.mul.op)))
+            assert list(_brace_homs(a, b)) == want, (a.order, b.order)
+            assert list(_brace_homs(a, b, injective=True)) == _bijective(want), (a.order, b.order)
+            nontrivial += len(_bijective(want)) > 1
+    assert nontrivial > 20
+
+
+def _elementary(k):
+    return validate_group([[x ^ y for y in range(2**k)] for x in range(2**k)])
+
+
+def test_hom_streams_match_the_oracles_in_both_encodings(monkeypatch):
+    # the bytes plan (orders up to tables.BYTES_BOUND) and the list plan
+    # (forced by a bound of 0) against brute force: over all maps for the
+    # groups of order <= 6, over generator images for relabelled exotic ∘
+    # groups and (Z2)^k
+    rng = random.Random(9)
+    cases = [(a, b, _product_homs(a, b)) for a in _small_groups() for b in _small_groups()]
+    moved = [exotic(n).mul for n in (4, 6, 8, 10, 12)] + [validate_group(symmetric_table(4))]
+    moved = [validate_group(relabelled_table(g.op, rng.sample(range(g.order), g.order))) for g in moved]
+    elementary = [_elementary(k) for k in range(1, 5)]
+    pairs = [(a, b) for a in moved for b in moved] + [(a, b) for a in elementary for b in elementary[:3]]
+    cases += [(a, b, _generated_homs(a, b, ((a.op, b.op),))) for a, b in pairs]
+    listed = []
+    monkeypatch.setattr(tables, "_map_through", lambda seq, col: listed.append(1) or _map_through(seq, col))
+    for bound, lists in ((tables.BYTES_BOUND, False), (0, True)):
+        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        for a, b, want in cases:
+            assert list(_iter_group_homs(a, b)) == want, (bound, a.order, b.order)
+            assert list(_iter_group_homs(a, b, injective=True)) == _bijective(want), (bound, a.order, b.order)
+        assert bool(listed) == lists
+    assert sum(len(want) > 2 for _, _, want in cases) > 40
+
+
+def test_plan_slots_fill_each_level_in_runs_and_chains():
+    # a guard on the work per candidate image: a run's parents sit in
+    # slots before it, a chain's first parent too, the steps tile the
+    # level's slots, and on (Z2)^k each level is one run and at most i + 1
+    # check groups
+    groups = _small_groups() + [_elementary(k) for k in range(1, 7)]
+    groups += [exotic(n).mul for n in (8, 12, 16)] + [validate_group(cyclic_table(48))]
+    rng = random.Random(5)
+    groups += [validate_group(relabelled_table(t, rng.sample(range(len(t)), len(t))))
+               for t in [exotic(12).mul.op] + [symmetric_table(4)] * 4]
+    for a in groups:
+        elems, levels = _plan_slots(a)
+        plan = _extension_plan(a)
+        assert elems == (plan[-1][2] if plan else [a.identity]) and elems[0] == a.identity
+        slot = {x: s for s, x in enumerate(elems)}
+        r = 1  # the next slot to fill
+        for (steps, checks, count), (tree, old_checks, members) in zip(levels, plan):
+            entries = []
+            for r0, r1, j, parents in steps:
+                assert r0 == r < r1
+                r = r1
+                if type(parents) is int:
+                    assert parents < r0
+                    entries += [(parents, j)] + [(s, j) for s in range(r0, r1 - 1)]
+                else:
+                    assert len(parents) == r1 - r0 > 1 and max(parents) < r0
+                    entries += [(p, j) for p in parents]
+            assert entries == [(slot[x], j) for _, x, j in tree], a.order
+            assert checks == [(j, tuple(map(slot.get, xs)), tuple(map(slot.get, ts))) for j, xs, ts in old_checks]
+            assert count == len(members) == r
+        assert r == a.order
+    for k in range(1, 9):
+        _, levels = _plan_slots(_elementary(k))
+        for i, (steps, checks, count) in enumerate(levels):
+            assert len(steps) == 1 and len(checks) <= i + 1 and count == 2 ** (i + 1), (k, i)
+    # a cyclic group is one chain of n - 1 slots
+    assert _plan_slots(validate_group(cyclic_table(48)))[1][0][0] == [(1, 48, 0, 0)]
 
 
 def test_extension_plan_holds_each_edge_once_parents_first():
@@ -504,3 +634,20 @@ def test_brace_homs_are_the_mul_homs_that_keep_plus():
             assert enumerate_skew_brace_homs(a, b) == want, (a.order, b.order)
             exotic_pairs += a.add != a.mul and len(want) > 1
     assert exotic_pairs > 10
+
+
+def test_brace_homs_search_the_group_with_fewer_generators(monkeypatch):
+    # one level of candidate images per generator: exotic Z_n has a cyclic
+    # + and a dihedral ∘, so + is searched; a tie goes to ∘
+    searched = []
+
+    def spy(a, b, injective=False):
+        searched.append(a)
+        return _iter_group_homs(a, b, injective)
+
+    monkeypatch.setattr(sys.modules["wbk.compose"], "_iter_group_homs", spy)
+    sym3 = catalog_get("sym3")
+    almost_trivial = _opposite_brace(validate_skew_brace(sym3.op, sym3.op))
+    for s, side in ((exotic(8), "add"), (exotic(256), "add"), (almost_trivial, "mul"), (catalog_get("c6_trivial"), "mul")):
+        list(_brace_homs(s, s, injective=True))
+        assert searched.pop() is getattr(s, side), (s.order, side)
