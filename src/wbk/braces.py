@@ -9,7 +9,7 @@ together.  Derived maps (lam, rho, dot, commutators) live here as cached tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InternalInvariantBroken, ValidationError
@@ -38,13 +38,19 @@ class SkewBrace:
         return self.add.order
 
     def as_dual(self) -> "DualWeakBrace":
-        """Reinterpret as a dual weak brace with a one-point semilattice."""
+        """Reinterpret as a dual weak brace with a one-point semilattice.
+
+        The result keeps self as its skew: decompose returns the one-point
+        decomposition with self as the component instead of rebuilding and
+        revalidating the tables self was validated from.
+        """
         n = self.order
         return DualWeakBrace(
             clifford_of_group(self.add),
             clifford_of_group(self.mul),
             (self.add.identity,),
             (0,) * n,
+            skew=self,
         )
 
     def is_brace(self) -> bool:
@@ -57,6 +63,9 @@ class DualWeakBrace:
     mul: CliffordTable
     idempotents: tuple[int, ...]
     component_of: tuple[int, ...]
+    # the skew brace this structure was built from by SkewBrace.as_dual, on
+    # the same tables; None for every other construction; not part of ==
+    skew: SkewBrace | None = field(default=None, compare=False, repr=False)
 
     @property
     def order(self) -> int:

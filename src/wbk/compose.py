@@ -80,8 +80,16 @@ def decompose(s: DualWeakBrace) -> StrongSemilatticeSpec:
     """Recover the semilattice, components, and connecting homs from s.
 
     Components are the zero-part fibers; the hom toward a lower component
-    is a |-> a + e (cross-checked against a * e).
+    is a |-> a + e (cross-checked against a * e).  Each component's tables
+    are rebuilt and validated again as a skew brace, a cross-check of the
+    structure theorem.  A skew brace is its own decomposition: when s was
+    built by SkewBrace.as_dual and still has that brace's tables, the
+    result is the one-point semilattice with s.skew as its one component,
+    which the rebuild would only revalidate.
     """
+    b = s.skew
+    if b is not None and s.add.op is b.add.op and s.mul.op is b.mul.op:
+        return StrongSemilatticeSpec(SemilatticeTable(1, ((0,),)), (b,), {})
     y = s.semilattice()
     members = s.component_members()
     rank = {a: i for comp in members for i, a in enumerate(comp)}
@@ -156,6 +164,11 @@ def are_isomorphic(s: DualWeakBrace, t: DualWeakBrace) -> IsomorphismWitness | N
     with non-injective partial maps pruned, and must close its commuting
     squares.  The worst case stays exponential: when Y has many automorphisms
     and only the connecting homs differ, each automorphism is tried.
+
+    Both structures are taken apart by decompose, so a skew brace from
+    SkewBrace.as_dual is its own one-component decomposition.  The assembled
+    global map is checked in full on both table pairs by _hom_test (bytes up
+    to BYTES_BOUND, the elementwise scan above it).
     """
     if s.order != t.order or len(s.idempotents) != len(t.idempotents):
         return None
@@ -217,6 +230,6 @@ def are_isomorphic(s: DualWeakBrace, t: DualWeakBrace) -> IsomorphismWitness | N
             g[a] = mem_t[eta[alpha]][theta[i]]
     if len(set(g)) != s.order:
         raise InternalInvariantBroken("assembled isomorphism is not a bijection")
-    if _first_non_hom(g, ((s.add.op, t.add.op), (s.mul.op, t.mul.op))) is not None:
+    if not (_hom_test(s.add.op, t.add.op)(g) and _hom_test(s.mul.op, t.mul.op)(g)):
         raise InternalInvariantBroken("assembled isomorphism fails on a pair")
     return IsomorphismWitness(eta, thetas, tuple(g))

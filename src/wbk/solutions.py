@@ -48,8 +48,14 @@ def compose_solutions(r2: SolutionTable, r1: SolutionTable) -> SolutionTable:
 
 
 def _split(r: SolutionTable) -> tuple[list, list]:
-    """The tables L and R of r(x, y) = (L[x][y], R[x][y]), as tuple rows."""
-    return [tuple(u for u, _ in row) for row in r.pairs], [tuple(v for _, v in row) for row in r.pairs]
+    """The tables L and R of r(x, y) = (L[x][y], R[x][y]), as tuple rows:
+    each row of pairs is unzipped once."""
+    lam, rho = [], []
+    for row in r.pairs:
+        u, v = zip(*row)
+        lam.append(u)
+        rho.append(v)
+    return lam, rho
 
 
 def _braid_holds(lam, rho) -> bool:

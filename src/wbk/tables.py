@@ -105,13 +105,19 @@ class FiniteGroupTable:
     gens: tuple[int, ...] = field(compare=False, repr=False)
 
     def exponent(self) -> int:
-        """lcm of all element orders."""
+        """lcm of all element orders, in one walk: only the powers of an
+        element that no earlier walk reached are walked, and each is marked
+        reached.  The order of a power of a divides the order of a, so
+        skipping a reached element cannot change the lcm."""
         from math import lcm
 
-        out = 1
+        out, reached = 1, bytearray(self.order)
         for a in range(self.order):
+            if reached[a]:
+                continue
             k, x = 1, a
             while x != self.identity:
+                reached[x] = 1
                 x = self.op[x][a]
                 k += 1
             out = lcm(out, k)
@@ -446,12 +452,13 @@ def _extension_plan(a: FiniteGroupTable) -> list[tuple]:
     """Per level i, which adjoins gens[i] to <gens[:i]>: (tree, checks, members).
 
     Each edge x -> x·gens[j] with x in members = <gens[:i+1]>, j <= i, that
-    no earlier level holds is either a tree entry (x·gens[j], x, j), each
-    parent x before its child, or a check: checks has one (j, xs, ts) per j
-    with x·gens[j] = t for x, t in zip(xs, ts).  The edges are taken
-    breadth first, so members is the identity followed by every level's
-    tree targets in tree order: the slot order in which _plan_slots
-    compiles the plan for the search.
+    no earlier level holds is either a tree entry (x·gens[j], x, j, p), with
+    p the position of x in members, each parent x before its child, or a
+    check: checks has one (j, xs, ts) per j with x·gens[j] = t for x, t in
+    zip(xs, ts).  The edges are taken breadth first, so members is the
+    identity followed by every level's tree targets in tree order: the slot
+    order in which _plan_slots compiles the plan for the search, where p is
+    the parent's slot.
     """
     op, gens = a.op, a.gens
     members = [a.identity]
@@ -473,7 +480,7 @@ def _extension_plan(a: FiniteGroupTable) -> list[tuple]:
                 else:
                     reached[t] = 1
                     members.append(t)
-                    tree.append((t, x, j))
+                    tree.append((t, x, j, pos))
         checks = [(j, xs, ts) for j, (xs, ts) in enumerate(edges) if xs]
         plan.append((tree, checks, list(members)))
     return plan
@@ -495,12 +502,11 @@ def _plan_slots(a: FiniteGroupTable) -> tuple[list[int], list[tuple]]:
     """
     plan = _extension_plan(a)
     elems = plan[-1][2] if plan else [a.identity]
-    slot = dict(zip(elems, range(len(elems))))
+    slot = sorted(range(a.order), key=elems.__getitem__)  # the slot of each element
     levels = []
     for tree, checks, members in plan:
         steps = []  # [r0, r1, j, parents]: a list for a run or one entry, an int for a chain
-        for r, (_, x, j) in enumerate(tree, len(members) - len(tree)):
-            p = slot[x]
+        for r, (_, _, j, p) in enumerate(tree, len(members) - len(tree)):
             last = steps[-1] if steps and steps[-1][2] == j else None
             if last and type(last[3]) is list and p < last[0]:
                 last[3].append(p)
@@ -512,7 +518,7 @@ def _plan_slots(a: FiniteGroupTable) -> tuple[list[int], list[tuple]]:
             last[1] = r + 1
         levels.append((
             [(r0, r1, j, ps if type(ps) is int else ps[0] if len(ps) == 1 else tuple(ps)) for r0, r1, j, ps in steps],
-            [(j, tuple(map(slot.get, xs)), tuple(map(slot.get, ts))) for j, xs, ts in checks],
+            [(j, tuple(map(slot.__getitem__, xs)), tuple(map(slot.__getitem__, ts))) for j, xs, ts in checks],
             len(members),
         ))
     return elems, levels

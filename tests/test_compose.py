@@ -1,15 +1,18 @@
 """Strong semilattice gluing, decomposition, homs, and isomorphism search."""
 
 import itertools
+import json
 import random
 import sys
 import time
+from dataclasses import replace
 
 import pytest
-from conftest import exotic, exotic_chain, non_chain
+from conftest import exotic, exotic_chain, non_chain, relabelled_table
 
 import wbk
-from wbk import ValidationError
+from wbk import ValidationError, load, to_obj
+from wbk.cli import main
 
 CHAIN2 = [[0, 1], [1, 1]]
 
@@ -330,3 +333,120 @@ def test_are_isomorphic_property():
         assert_reference_witness(*case)
 
     check()
+
+
+def _relabelled_brace(b, perm):
+    """The skew brace b transported along perm, validated from its tables."""
+    return wbk.validate_skew_brace(relabelled_table(b.add.op, perm), relabelled_table(b.mul.op, perm))
+
+
+def _skew_braces():
+    """Every catalog skew brace, exotic Z4-Z64, and seeded relabellings."""
+    braces = [wbk.catalog_get(name) for name, kind, _ in wbk.catalog_list() if kind == "skew_brace"]
+    braces += [exotic(n) for n in range(4, 65, 2)]
+    rng = random.Random(23)
+    return braces + [_relabelled_brace(b, rng.sample(range(b.order), b.order)) for b in braces[::3]]
+
+
+def test_a_skew_brace_is_its_own_decomposition():
+    for b in _skew_braces():
+        s = b.as_dual()
+        assert s.skew is b and s == wbk.validate_dual_weak_brace(b.add.op, b.mul.op)
+        spec = wbk.decompose(s)
+        assert spec.braces[0] is b and spec.homs == {}
+        rebuilt = wbk.decompose(wbk.validate_dual_weak_brace(b.add.op, b.mul.op))
+        assert spec == rebuilt, b.order
+        # gens are outside ==, but the hom search runs on them
+        assert [(c.add.gens, c.mul.gens) for c in spec.braces] == [(c.add.gens, c.mul.gens) for c in rebuilt.braces]
+
+
+def _count_skew_validations(monkeypatch):
+    """Count validate_skew_brace calls through every wbk module that holds it."""
+    calls = []
+    real = sys.modules["wbk.braces"].validate_skew_brace
+
+    def spy(add, mul):
+        calls.append(len(add))
+        return real(add, mul)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wbk.") and getattr(module, "validate_skew_brace", None) is real:
+            monkeypatch.setattr(module, "validate_skew_brace", spy)
+    return calls
+
+
+def _write(tmp_path, name, x):
+    path = tmp_path / name
+    path.write_text(json.dumps(to_obj(x)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["iso", "decompose", "classify"])
+def test_skew_brace_files_are_validated_once(command, monkeypatch, tmp_path, capsys):
+    b = exotic(12)
+    files = [_write(tmp_path, "a.json", b), _write(tmp_path, "b.json", _relabelled_brace(b, random.Random(4).sample(range(12), 12)))]
+    argv = [command, "--input", files[0]] + (["--input2", files[1]] if command == "iso" else [])
+    calls = _count_skew_validations(monkeypatch)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == [12] * (2 if command == "iso" else 1)
+
+
+def test_other_structures_revalidate_every_component(monkeypatch, tmp_path, capsys):
+    b = exotic(8)
+    as_dual = b.as_dual()
+    cases = [
+        wbk.validate_dual_weak_brace(b.add.op, b.mul.op),
+        # built by as_dual, but no longer on the brace's tables
+        replace(as_dual, add=as_dual.add.transpose()),
+        wbk.compose(wbk.catalog_get("c3_sym3")),
+        exotic_chain([8, 4, 2]),
+    ]
+    calls = _count_skew_validations(monkeypatch)
+    for s in cases:
+        spec = wbk.decompose(s)
+        assert [len(c.add.op) for c in spec.braces] == calls, s.order
+        calls.clear()
+    # the same through files: a dual_weak_brace file and a strong_semilattice file
+    for x, orders in ((as_dual, [8]), (wbk.catalog_get("c3_sym3"), [3, 6, 3, 6])):
+        assert main(["decompose", "--input", _write(tmp_path, "in.json", x)]) == 0
+        capsys.readouterr()
+        assert calls == orders  # a file's spec is validated on load, then rebuilt
+        calls.clear()
+
+
+def test_only_as_dual_carries_its_skew_brace(tmp_path):
+    b = exotic(12)
+    s = b.as_dual()
+    ideal = next(i for i in wbk.enumerate_ideals(s).ideals if 1 < len(i) < s.order)
+    built = [
+        wbk.relabel(s, random.Random(6).sample(range(12), 12)),
+        wbk.relabel(s, range(12)),
+        s.opposite(),
+        wbk.quotient(s, ideal).quotient,
+        wbk.validate_dual_weak_brace(b.add.op, b.mul.op),
+        wbk.compose(wbk.StrongSemilatticeSpec(wbk.decompose(s).y, (b,), {})),
+        load(_write(tmp_path, "dual.json", s)),
+    ]
+    assert [t.skew for t in built] == [None] * len(built)
+
+
+@pytest.mark.parametrize("half", ["add", "mul"])
+def test_assembled_isomorphism_is_checked_on_both_tables(half, monkeypatch):
+    # t is s transported along a bijection that keeps one table and moves
+    # the other, so the identity map carries only the kept table; the
+    # component isomorphisms are patched to the identity
+    if half == "mul":
+        # + is the Klein four-group (every bijection fixing 0 keeps it), ∘ is Z4
+        mul = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]
+        s = wbk.validate_skew_brace([[a ^ b for b in range(4)] for a in range(4)], mul)
+    else:
+        # exotic Z4: + is Z4, ∘ the Klein four-group
+        s = exotic(4)
+    t = _relabelled_brace(s, (0, 2, 1, 3))
+    kept = "add" if half == "mul" else "mul"
+    assert getattr(t, kept) == getattr(s, kept) and getattr(t, half) != getattr(s, half)
+    assert wbk.are_isomorphic(s.as_dual(), t.as_dual()) is not None
+    monkeypatch.setattr(sys.modules["wbk.compose"], "_brace_homs", lambda a, b, injective=False: iter([tuple(range(a.order))]))
+    with pytest.raises(wbk.InternalInvariantBroken, match="^assembled isomorphism fails on a pair$"):
+        wbk.are_isomorphic(s.as_dual(), t.as_dual())

@@ -1,5 +1,6 @@
 """Group, semilattice, and Clifford table validation plus hom enumeration."""
 
+import math
 import random
 import sys
 from dataclasses import replace
@@ -106,6 +107,28 @@ def test_group_exponent():
     assert sym3.exponent() == 6
     assert not sym3.is_abelian()
     assert catalog_get("klein4").exponent() == 2
+
+
+def _brute_exponent(g):
+    """lcm of the element orders, each order found by multiplying out."""
+    out = 1
+    for a in range(g.order):
+        k, x = 1, a
+        while x != g.identity:
+            x, k = g.op[x][a], k + 1
+        out = math.lcm(out, k)
+    return out
+
+
+def test_exponent_is_the_lcm_of_element_orders():
+    groups = _small_groups() + [_elementary(k) for k in range(1, 7)]
+    groups += [validate_group(symmetric_table(4))]
+    groups += [g for n in range(4, 65, 2) for g in (exotic(n).add, exotic(n).mul)]
+    rng = random.Random(8)
+    groups += [_relabel_group(g, rng.sample(range(g.order), g.order)) for g in groups[::4]]
+    for g in groups:
+        assert g.exponent() == _brute_exponent(g), g.order
+    assert {_brute_exponent(g) for g in groups} >= {1, 2, 3, 4, 5, 6, 12, 32}
 
 
 def test_validate_semilattice():
@@ -500,7 +523,7 @@ def test_plan_slots_fill_each_level_in_runs_and_chains():
                 else:
                     assert len(parents) == r1 - r0 > 1 and max(parents) < r0
                     entries += [(p, j) for p in parents]
-            assert entries == [(slot[x], j) for _, x, j in tree], a.order
+            assert entries == [(slot[x], j) for _, x, j, _ in tree], a.order
             assert checks == [(j, tuple(map(slot.get, xs)), tuple(map(slot.get, ts))) for j, xs, ts in old_checks]
             assert count == len(members) == r
         assert r == a.order
@@ -528,8 +551,9 @@ def test_extension_plan_holds_each_edge_once_parents_first():
             want = sorted((x, j) for x in members for j in range(i + 1) if x not in old or j == i)
             got = []
             defined = set(old)
-            for t, x, j in tree:
+            for t, x, j, p in tree:
                 assert x in defined and t not in defined and op[x][gens[j]] == t
+                assert members[p] == x  # p is the parent's slot
                 defined.add(t)
                 got.append((x, j))
             assert defined == set(members)
