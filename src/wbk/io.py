@@ -75,6 +75,14 @@ def _table(obj: dict, key: str, size_key: str | None = None):
     return rows
 
 
+def _nested(obj: dict, kind: str, field: str) -> dict:
+    """A nested table object; its kind may be left out, but when present
+    it must be kind."""
+    if obj.get("kind", kind) != kind:
+        raise ParseError(f"{field} has kind {obj['kind']!r}, expected {kind!r}")
+    return obj
+
+
 def from_obj(obj) -> object:
     if not isinstance(obj, dict):
         raise ParseError("top-level value must be an object")
@@ -88,13 +96,15 @@ def from_obj(obj) -> object:
     if kind == "dual_weak_brace":
         return validate_dual_weak_brace(_table(obj, "add", "order"), _table(obj, "mul", "order"))
     if kind == "strong_semilattice":
-        y = validate_semilattice(_table(_need(obj, "semilattice", dict), "meet", "size"))
+        y_obj = _nested(_need(obj, "semilattice", dict), "semilattice", "field 'semilattice'")
+        y = validate_semilattice(_table(y_obj, "meet", "size"))
         braces_obj = _need(obj, "braces", dict)
         braces = []
         for i in range(y.size):
             b = braces_obj.get(str(i))
             if not isinstance(b, dict):
                 raise ParseError(f"missing brace for semilattice element {i}")
+            _nested(b, "skew_brace", f"brace {str(i)!r}")
             braces.append((_table(b, "add", "order"), _table(b, "mul", "order")))
         extra = sorted(braces_obj.keys() - {str(i) for i in range(y.size)})
         if extra:

@@ -8,7 +8,9 @@ and power periodicity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import lcm
 from operator import getitem
 
 from . import tables
@@ -193,18 +195,39 @@ def check_regularity(s: DualWeakBrace) -> RegularityReport:
 
 
 def period(r: SolutionTable) -> int:
-    """Smallest p >= 1 with r^(p+1) == r; NoPeriod if r never recurs."""
-    seen = {r.pairs: 1}
-    power, k = r, 1
-    while True:
-        power = compose_solutions(power, r)
-        k += 1
-        j = seen.get(power.pairs)
-        if j is not None:
-            if j == 1:
-                return k - 1
-            raise NoPeriod(tail=j - 1, cycle=k - j)
-        seen[power.pairs] = k
+    """Smallest p >= 1 with r^(p+1) == r; NoPeriod if r never recurs.
+
+    r is a map on the n² pairs.  r^a(x) = r^b(x), a < b, exactly when a is
+    at least x's tail (its steps into a cycle) and x's cycle length divides
+    b - a.  So the powers first repeat at r^j = r^(j+c), with j the longest
+    tail (at least 1) and c the lcm of the cycle lengths, and r recurs when
+    j = 1.  The longest tail is the number of rounds that peel off the
+    pairs left without a preimage; the pairs that stay are the cycles, each
+    walked once.  Both take O(n²) steps, whatever the period.
+    """
+    n = r.order
+    succ = [u * n + v for row in r.pairs for u, v in row]
+    indeg = Counter(succ)  # per pair, its preimages not yet peeled off
+    layer, tail = set(range(n * n)).difference(indeg), 0
+    while layer:
+        tail += 1
+        nxt = []
+        for t in map(succ.__getitem__, layer):
+            indeg[t] -= 1
+            if not indeg[t]:
+                nxt.append(t)
+        layer = nxt
+    lengths, seen = set(), bytearray(n * n)
+    for x, d in indeg.items():
+        if d and not seen[x]:  # x lies on a cycle not yet walked
+            y, k = succ[x], 1
+            while y != x:
+                seen[y] = 1
+                y, k = succ[y], k + 1
+            lengths.add(k)
+    if tail <= 1:
+        return lcm(*lengths)
+    raise NoPeriod(tail=tail - 1, cycle=lcm(*lengths))
 
 
 def strong_semilattice_of_solutions(

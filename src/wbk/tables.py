@@ -448,80 +448,58 @@ def generating_set(g: FiniteGroupTable) -> list[int]:
     return list(g.gens)
 
 
-def _extension_plan(a: FiniteGroupTable) -> list[tuple]:
-    """Per level i, which adjoins gens[i] to <gens[:i]>: (tree, checks, members).
-
-    Each edge x -> x·gens[j] with x in members = <gens[:i+1]>, j <= i, that
-    no earlier level holds is either a tree entry (x·gens[j], x, j, p), with
-    p the position of x in members, each parent x before its child, or a
-    check: checks has one (j, xs, ts) per j with x·gens[j] = t for x, t in
-    zip(xs, ts).  The edges are taken breadth first, so members is the
-    identity followed by every level's tree targets in tree order: the slot
-    order in which _plan_slots compiles the plan for the search, where p is
-    the parent's slot.
-    """
-    op, gens = a.op, a.gens
-    members = [a.identity]
-    reached = bytearray(a.order)
-    reached[a.identity] = 1
-    plan = []
-    for i in range(len(gens)):
-        tree, edges = [], [([], []) for _ in range(i + 1)]
-        # breadth first: each old member by gens[i], then each new member,
-        # in the order it is reached, by gens[0], ..., gens[i]
-        old = len(members)
-        for pos, x in enumerate(members):  # members grows while it is read
-            row = op[x]
-            for j in (i,) if pos < old else range(i + 1):
-                t = row[gens[j]]
-                if reached[t]:
-                    edges[j][0].append(x)
-                    edges[j][1].append(t)
-                else:
-                    reached[t] = 1
-                    members.append(t)
-                    tree.append((t, x, j, pos))
-        checks = [(j, xs, ts) for j, (xs, ts) in enumerate(edges) if xs]
-        plan.append((tree, checks, list(members)))
-    return plan
-
-
 def _plan_slots(a: FiniteGroupTable) -> tuple[list[int], list[tuple]]:
-    """_extension_plan compiled to plan slots: (elems, levels).
+    """The hom search's plan, in one breadth-first walk: (slot, levels).
 
-    Slot s holds elems[s]: the identity takes slot 0 and each level's tree
-    targets the next slots in tree order, so level i fills one contiguous
-    slice and <gens[:i+1]> is slots [0, count).  levels[i] is (steps,
-    checks, count), in slots:
+    Level i adjoins gens[i] to <gens[:i]>.  It walks each old member by
+    gens[i], then each new member, in the order it is reached, by gens[0],
+    ..., gens[i]: every edge x -> x·gens[j] with x in <gens[:i+1]>, j <= i,
+    that no earlier level holds.  An edge to an element not yet reached
+    gives that element the next slot (slot[t] is the slot of element t), so
+    the identity has slot 0, level i fills one contiguous slice and
+    <gens[:i+1]> is slots [0, count).  levels[i] is (steps, checks, count):
     - a step (r0, r1, j, parents) fills slots r0..r1-1, slot s with its
       parent's value times gens[j].  A tuple of parents, all in slots
-      before r0, is a run: consecutive tree entries that share j.  An int
+      before r0, is a run: consecutive new slots that share j.  An int
       parent is a chain: it is the parent of r0, and each later slot's
-      parent is the slot before it (a single tree entry is a chain of one);
-    - a check (j, xs, ts) says x·gens[j] = t for x, t in zip(xs, ts).
+      parent is the slot before it (a single new slot is a chain of one);
+    - a check (j, xs, ts) says x·gens[j] = t for the slots x, t in zip(xs,
+      ts): every other edge of the level, grouped by j.
     """
-    plan = _extension_plan(a)
-    elems = plan[-1][2] if plan else [a.identity]
-    slot = sorted(range(a.order), key=elems.__getitem__)  # the slot of each element
+    op, gens = a.op, a.gens
+    slot: list = [None] * a.order
+    slot[a.identity] = 0
+    members = [a.identity]  # members[s] is the element in slot s
     levels = []
-    for tree, checks, members in plan:
+    for i in range(len(gens)):
         steps = []  # [r0, r1, j, parents]: a list for a run or one entry, an int for a chain
-        for r, (_, _, j, p) in enumerate(tree, len(members) - len(tree)):
-            last = steps[-1] if steps and steps[-1][2] == j else None
-            if last and type(last[3]) is list and p < last[0]:
-                last[3].append(p)
-            elif last and p == r - 1 and (type(last[3]) is int or len(last[3]) == 1):
-                last[3] = last[3][0] if type(last[3]) is list else last[3]
-            else:
-                last = [r, r, j, [p]]
-                steps.append(last)
-            last[1] = r + 1
+        edges = [([], []) for _ in range(i + 1)]
+        old = len(members)
+        for p, x in enumerate(members):  # members grows while it is read
+            row = op[x]
+            for j in (i,) if p < old else range(i + 1):
+                t = row[gens[j]]
+                if slot[t] is not None:
+                    edges[j][0].append(p)
+                    edges[j][1].append(slot[t])
+                    continue
+                r = slot[t] = len(members)
+                members.append(t)
+                last = steps[-1] if steps and steps[-1][2] == j else None
+                if last and type(last[3]) is list and p < last[0]:
+                    last[3].append(p)
+                elif last and p == r - 1 and (type(last[3]) is int or len(last[3]) == 1):
+                    last[3] = last[3][0] if type(last[3]) is list else last[3]
+                else:
+                    last = [r, r, j, [p]]
+                    steps.append(last)
+                last[1] = r + 1
         levels.append((
             [(r0, r1, j, ps if type(ps) is int else ps[0] if len(ps) == 1 else tuple(ps)) for r0, r1, j, ps in steps],
-            [(j, tuple(map(slot.__getitem__, xs)), tuple(map(slot.__getitem__, ts))) for j, xs, ts in checks],
+            [(j, tuple(xs), tuple(ts)) for j, (xs, ts) in enumerate(edges) if xs],
             len(members),
         ))
-    return elems, levels
+    return slot, levels
 
 
 def _map_through(seq, col) -> tuple:
@@ -536,7 +514,8 @@ def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool =
     order.  Assigning gens[i] extends the map from <gens[:i]> to
     <gens[:i+1]> along the steps of level i of _plan_slots, held in fp by
     slot; the extension survives exactly when every check of the level
-    holds, i.e. when it is a hom there.  Every element below gens[i] lies
+    holds, i.e. when it is a hom there.  A leaf reads the map back through
+    the plan's slot of each element.  Every element below gens[i] lies
     in <gens[:i]>, so the tuples come out in lexicographic order.  With
     injective, an extension that repeats an image is dropped.
 
@@ -548,7 +527,7 @@ def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool =
     full by _hom_test.
     """
     aop, bop = a.op, b.op
-    elems, levels = _plan_slots(a)
+    slot, levels = _plan_slots(a)
     if max(a.order, b.order) > BYTES_BOUND:
         fp, tr, enc, cols = [0] * a.order, _map_through, _gather, list(zip(*bop))
     else:
@@ -560,7 +539,7 @@ def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool =
         singles = [(j, xs[0], ts[0]) for j, xs, ts in checks if len(xs) == 1]
         groups = [(j, enc(xs), enc(ts)) for j, xs, ts in checks if len(xs) > 1]
         plan.append((steps, singles, groups, count))
-    unplan = enc(sorted(range(a.order), key=elems.__getitem__))  # slot of each element
+    unplan = enc(slot)
     fp[0] = b.identity
     chosen: list = [None] * len(plan)  # b's column of the image of each gens[j]
 

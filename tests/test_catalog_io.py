@@ -168,6 +168,26 @@ def test_spec_obj_checks():
         wbk.from_obj(broken)
 
 
+def test_spec_obj_checks_nested_kinds(tmp_path, capsys):
+    # a nested kind may be left out; when present it must name the table
+    spec_obj = wbk.to_obj(wbk.catalog_get("c3_sym3"))
+    bare = json.loads(json.dumps(spec_obj))
+    del bare["semilattice"]["kind"]
+    del bare["braces"]["1"]["kind"]
+    assert wbk.from_obj(bare) == wbk.from_obj(spec_obj)
+    for field, kind in (("semilattice", "group"), ("0", "solution"), ("1", "dual_weak_brace")):
+        broken = json.loads(json.dumps(spec_obj))
+        (broken if field == "semilattice" else broken["braces"])[field]["kind"] = kind
+        with pytest.raises(ParseError) as exc:
+            wbk.from_obj(broken)
+        assert repr(field) in str(exc.value) and repr(kind) in str(exc.value)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        assert main(["validate", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_from_obj_shape_errors_are_parse_errors():
     with pytest.raises(ParseError):
         wbk.from_obj({"kind": "group", "op": 5})

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -208,6 +209,37 @@ def test_period_and_no_period(capsys, tmp_path):
     path = write_json(tmp_path, EVENTUALLY_PERIODIC)
     code, out, _ = run(capsys, "period", "--input", path)
     assert code == 1 and out == ["NO-PERIOD tail=1 cycle=1", "status: fail"]
+
+
+def _pair_map(order, cycles, path=0):
+    """A solution file whose map on the order² pairs (a, b) ~ a·order + b
+    has the given cycle lengths on the first pairs, then a path of that
+    many pairs, each mapped to the one before and the first into pair 0;
+    every other pair is fixed."""
+    succ = list(range(order * order))
+    start = 0
+    for c in cycles:
+        for k in range(c):
+            succ[start + k] = start + (k + 1) % c
+        start += c
+    for k in range(path):
+        succ[start + k] = start + k - 1 if k else 0
+    return {"kind": "solution", "order": order,
+            "map": [[list(divmod(succ[a * order + b], order)) for b in range(order)] for a in range(order)]}
+
+
+def test_period_without_walking_the_powers(capsys, tmp_path):
+    # the powers recur after lcm(8, 3, 5, 7, 11, 13) = 120,120 steps, each
+    # a table of 49 pairs; the period comes from the cycles themselves
+    path = write_json(tmp_path, _pair_map(7, (8, 3, 5, 7, 11, 13)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "period", "--input", path)
+    assert code == 0 and out == ["period 120120", "status: pass"]
+    assert time.perf_counter() - start < 0.1
+    # cycles of 3 and 2 pairs and a path of 4 into the first: r^4 = r^10
+    path = write_json(tmp_path, _pair_map(3, (3, 2), path=4))
+    code, out, _ = run(capsys, "period", "--input", path)
+    assert code == 1 and out == ["NO-PERIOD tail=3 cycle=6", "status: fail"]
 
 
 def test_solve_rows_and_limit(capsys):

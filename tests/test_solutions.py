@@ -1,5 +1,6 @@
 """Braid checks, periods, weak inverses, regularity, and solution gluing."""
 
+import random
 from math import lcm
 
 import pytest
@@ -59,6 +60,47 @@ def test_no_period_raises():
         wbk.period(EVENTUALLY_PERIODIC)
     assert exc.value.tail == 1
     assert exc.value.cycle == 1
+
+
+def _power_loop(r):
+    """(tail, cycle) of the first repeat r^(tail+1+cycle) == r^(tail+1),
+    found power by power; tail 0 means r recurs with period cycle."""
+    seen = {r.pairs: 1}
+    power, k = r, 1
+    while True:
+        power = wbk.compose_solutions(power, r)
+        k += 1
+        j = seen.get(power.pairs)
+        if j is not None:
+            return j - 1, k - j
+        seen[power.pairs] = k
+
+
+def _tail_and_cycle(r):
+    try:
+        return 0, wbk.period(r)
+    except NoPeriod as err:
+        return err.tail, err.cycle
+
+
+def test_period_matches_the_power_loop_on_random_maps():
+    rng = random.Random(24)
+    planted = 0
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        succ = [rng.randrange(n * n) for _ in range(n * n)]
+        if n > 2 and rng.random() < 0.5:
+            # a cycle of c > 1 pairs fed by a path of h > 2 pairs: the
+            # first repeat is at r^j with j >= h, so tail >= h - 1 > 1
+            c, h = rng.randint(2, 4), rng.randint(3, 5)
+            pts = rng.sample(range(n * n), c + h)
+            for k in range(c + h):
+                succ[pts[k]] = pts[(k + 1) % c if k < c else k - 1 if k > c else 0]
+        r = SolutionTable(n, tuple(tuple(divmod(succ[a * n + b], n) for b in range(n)) for a in range(n)))
+        want = _power_loop(r)
+        assert _tail_and_cycle(r) == want, (r, want)
+        planted += want[0] > 1 and want[1] > 1
+    assert planted > 100
 
 
 def test_weak_inverse_relations(all_structures):

@@ -32,7 +32,6 @@ from wbk.compose import _brace_homs
 from wbk.tables import (
     FiniteGroupTable,
     _close,
-    _extension_plan,
     _first_non_hom,
     _generators,
     _hom_test,
@@ -496,36 +495,47 @@ def test_hom_streams_match_the_oracles_in_both_encodings(monkeypatch):
     assert sum(len(want) > 2 for _, _, want in cases) > 40
 
 
-def test_plan_slots_fill_each_level_in_runs_and_chains():
-    # a guard on the work per candidate image: a run's parents sit in
-    # slots before it, a chain's first parent too, the steps tile the
-    # level's slots, and on (Z2)^k each level is one run and at most i + 1
-    # check groups
+def test_plan_slots_hold_each_edge_once_parents_first():
+    # the plan against the group itself: level i's slots [0, count) hold
+    # <gens[:i+1]>, each new edge x·gens[j] (j <= i) of the level is one
+    # step slot or one check pair, and each step slot holds its parent's
+    # element times gens[j].  A guard on the work per candidate image too:
+    # a run's parents sit in slots before it, a chain extends the slot
+    # before, and on (Z2)^k each level is one run and at most i + 1 check
+    # groups
     groups = _small_groups() + [_elementary(k) for k in range(1, 7)]
     groups += [exotic(n).mul for n in (8, 12, 16)] + [validate_group(cyclic_table(48))]
     rng = random.Random(5)
     groups += [validate_group(relabelled_table(t, rng.sample(range(len(t)), len(t))))
                for t in [exotic(12).mul.op] + [symmetric_table(4)] * 4]
     for a in groups:
-        elems, levels = _plan_slots(a)
-        plan = _extension_plan(a)
-        assert elems == (plan[-1][2] if plan else [a.identity]) and elems[0] == a.identity
-        slot = {x: s for s, x in enumerate(elems)}
+        op, gens = a.op, a.gens
+        slot, levels = _plan_slots(a)
+        assert sorted(slot) == list(range(a.order)) and slot[a.identity] == 0
+        elems = sorted(range(a.order), key=slot.__getitem__)  # the element in each slot
+        assert len(levels) == len(gens)
         r = 1  # the next slot to fill
-        for (steps, checks, count), (tree, old_checks, members) in zip(levels, plan):
-            entries = []
+        for i, (steps, checks, count) in enumerate(levels):
+            assert _mask(elems[:count]) == _close(op, _mask([a.identity, *gens[: i + 1]])), (a.order, i)
+            want = sorted((x, j) for x in range(count) for j in range(i + 1) if x >= r or j == i)
+            got = []
             for r0, r1, j, parents in steps:
                 assert r0 == r < r1
                 r = r1
                 if type(parents) is int:
                     assert parents < r0
-                    entries += [(parents, j)] + [(s, j) for s in range(r0, r1 - 1)]
+                    parents = [parents, *range(r0, r1 - 1)]  # each later slot extends the one before
                 else:
                     assert len(parents) == r1 - r0 > 1 and max(parents) < r0
-                    entries += [(p, j) for p in parents]
-            assert entries == [(slot[x], j) for _, x, j, _ in tree], a.order
-            assert checks == [(j, tuple(map(slot.get, xs)), tuple(map(slot.get, ts))) for j, xs, ts in old_checks]
-            assert count == len(members) == r
+                for s, p in zip(range(r0, r1), parents):
+                    assert elems[s] == op[elems[p]][gens[j]]
+                    got.append((p, j))
+            for j, xs, ts in checks:
+                assert len(xs) == len(ts) and all(s < count for s in xs + ts)
+                assert [op[elems[x]][gens[j]] for x in xs] == [elems[t] for t in ts]
+                got += [(x, j) for x in xs]
+            assert sorted(got) == want, (a.order, i)
+            assert count == r
         assert r == a.order
     for k in range(1, 9):
         _, levels = _plan_slots(_elementary(k))
@@ -533,36 +543,6 @@ def test_plan_slots_fill_each_level_in_runs_and_chains():
             assert len(steps) == 1 and len(checks) <= i + 1 and count == 2 ** (i + 1), (k, i)
     # a cyclic group is one chain of n - 1 slots
     assert _plan_slots(validate_group(cyclic_table(48)))[1][0][0] == [(1, 48, 0, 0)]
-
-
-def test_extension_plan_holds_each_edge_once_parents_first():
-    groups = _small_groups()
-    groups += [validate_group([[x ^ y for y in range(2**k)] for x in range(2**k)]) for k in (3, 4)]
-    groups += [exotic(n).mul for n in (8, 12, 16)]
-    groups.append(validate_group(relabelled_table(exotic(12).mul.op, random.Random(5).sample(range(12), 12))))
-    for a in groups:
-        op, gens = a.op, a.gens
-        plan = _extension_plan(a)
-        assert len(plan) == len(gens)
-        old = {a.identity}
-        for i, (tree, checks, members) in enumerate(plan):
-            assert _mask(members) == _close(op, _mask([a.identity, *gens[: i + 1]]))
-            assert len(members) == len(set(members))
-            want = sorted((x, j) for x in members for j in range(i + 1) if x not in old or j == i)
-            got = []
-            defined = set(old)
-            for t, x, j, p in tree:
-                assert x in defined and t not in defined and op[x][gens[j]] == t
-                assert members[p] == x  # p is the parent's slot
-                defined.add(t)
-                got.append((x, j))
-            assert defined == set(members)
-            for j, xs, ts in checks:
-                assert [op[x][gens[j]] for x in xs] == ts
-                got += [(x, j) for x in xs]
-            assert sorted(got) == want, (a.order, i)
-            old = defined
-        assert old == set(range(a.order))
 
 
 def _cyclic(n):
