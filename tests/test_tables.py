@@ -495,46 +495,67 @@ def test_hom_streams_match_the_oracles_in_both_encodings(monkeypatch):
     assert sum(len(want) > 2 for _, _, want in cases) > 40
 
 
-def test_plan_slots_hold_each_edge_once_parents_first():
-    # the plan against the group itself: level i's slots [0, count) hold
-    # <gens[:i+1]>, each new edge x·gens[j] (j <= i) of the level is one
-    # step slot or one check pair, and each step slot holds its parent's
-    # element times gens[j].  A guard on the work per candidate image too:
-    # a run's parents sit in slots before it, a chain extends the slot
-    # before, and on (Z2)^k each level is one run and at most i + 1 check
-    # groups
+def _plan_groups():
     groups = _small_groups() + [_elementary(k) for k in range(1, 7)]
     groups += [exotic(n).mul for n in (8, 12, 16)] + [validate_group(cyclic_table(48))]
     rng = random.Random(5)
     groups += [validate_group(relabelled_table(t, rng.sample(range(len(t)), len(t))))
                for t in [exotic(12).mul.op] + [symmetric_table(4)] * 4]
-    for a in groups:
+    return groups
+
+
+def _slot_parents(steps):
+    # (slot, parent slot, j) for each step slot of a level
+    for r0, r1, j, parents in steps:
+        if type(parents) is int:
+            parents = [parents, *range(r0, r1 - 1)]  # each later chain slot extends the one before
+        yield from ((s, p, j) for s, p in zip(range(r0, r1), parents))
+
+
+def test_extension_plan_holds_each_edge_once_parents_first():
+    # the plan against the group itself: level i's slots [0, count) hold
+    # <gens[:i+1]>, each new edge x·gens[j] (j <= i) of the level is one
+    # step slot or one check pair, and each step slot holds its parent's
+    # element times gens[j], with the parent in an earlier slot
+    for a in _plan_groups():
         op, gens = a.op, a.gens
         slot, levels = _plan_slots(a)
         assert sorted(slot) == list(range(a.order)) and slot[a.identity] == 0
         elems = sorted(range(a.order), key=slot.__getitem__)  # the element in each slot
         assert len(levels) == len(gens)
-        r = 1  # the next slot to fill
+        old = 1  # slots [0, old) hold the earlier levels' elements
         for i, (steps, checks, count) in enumerate(levels):
             assert _mask(elems[:count]) == _close(op, _mask([a.identity, *gens[: i + 1]])), (a.order, i)
-            want = sorted((x, j) for x in range(count) for j in range(i + 1) if x >= r or j == i)
+            want = sorted((x, j) for x in range(count) for j in range(i + 1) if x >= old or j == i)
             got = []
-            for r0, r1, j, parents in steps:
-                assert r0 == r < r1
-                r = r1
-                if type(parents) is int:
-                    assert parents < r0
-                    parents = [parents, *range(r0, r1 - 1)]  # each later slot extends the one before
-                else:
-                    assert len(parents) == r1 - r0 > 1 and max(parents) < r0
-                for s, p in zip(range(r0, r1), parents):
-                    assert elems[s] == op[elems[p]][gens[j]]
-                    got.append((p, j))
+            for s, p, j in _slot_parents(steps):
+                assert old <= s < count and p < s and elems[s] == op[elems[p]][gens[j]]
+                got.append((p, j))
             for j, xs, ts in checks:
                 assert len(xs) == len(ts) and all(s < count for s in xs + ts)
                 assert [op[elems[x]][gens[j]] for x in xs] == [elems[t] for t in ts]
                 got += [(x, j) for x in xs]
             assert sorted(got) == want, (a.order, i)
+            old = count
+        assert old == a.order
+
+
+def test_plan_slots_fill_each_level_in_runs_and_chains():
+    # a guard on the work per candidate image: a run's parents sit in
+    # slots before it, a chain's first parent too, the steps tile the
+    # level's slots, and on (Z2)^k each level is one run and at most i + 1
+    # check groups
+    for a in _plan_groups():
+        _, levels = _plan_slots(a)
+        r = 1  # the next slot to fill
+        for steps, _, count in levels:
+            for r0, r1, _, parents in steps:
+                assert r0 == r < r1
+                r = r1
+                if type(parents) is int:
+                    assert parents < r0
+                else:
+                    assert len(parents) == r1 - r0 > 1 and max(parents) < r0
             assert count == r
         assert r == a.order
     for k in range(1, 9):
