@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 from operator import getitem
 
 from . import tables
 from .braces import DualWeakBrace
 from .errors import InternalInvariantBroken, NoPeriod, ValidationError
-from .tables import SemilatticeTable, _first_non_hom, _gather, _glue, _least_row_failure, _validate_hom_system
+from .tables import SemilatticeTable, _first_non_hom, _gather, _glue, _least_row_failure, _map_through, _validate_hom_system
 
 
 @dataclass(frozen=True)
@@ -60,39 +61,92 @@ def _split(r: SolutionTable) -> tuple[list, list]:
     return lam, rho
 
 
+def _representatives(own, other) -> list[int]:
+    """The least x of each class of x -> (own[x], own[t[x]] for each
+    distinct map t in other), in increasing order.
+
+    own and other list n maps on {0, ..., n-1}, each a tuple or bytes.
+    With own the rows of L and other the columns of R this is the class of
+    sig (see _braid_holds), and with the two swapped that of sig'.
+    """
+    ids: dict = {}
+    cls = [ids.setdefault(m, len(ids)) for m in own]  # own[x] by its first x
+    sigs = zip(cls, *(map(cls.__getitem__, t) for t in dict.fromkeys(other)))
+    first: dict = {}
+    for x, sig in enumerate(sigs):
+        first.setdefault(sig, x)
+    return list(first.values())
+
+
 def _braid_holds(lam, rho) -> bool:
     """Whether r(x, y) = (L[x][y], R[x][y]) = (lam[x][y], rho[x][y]) satisfies
-    the braid identity on all n^3 triples, for n <= tables.BYTES_BOUND.
+    the braid identity on all n^3 triples.
 
-    With (u, v) = r(a, b), (w, z) = r(b, c) and q = R[a][w], the triple
-    (a, b, c) goes to (L[u][L[v][c]], R[u][L[v][c]], R[v][c]) on the left
-    and to (L[a][w], L[q][z], R[q][z]) on the right.  Each side of each
-    coordinate is one bytes.translate of a row over c per (a, b) or of a
-    column over a per (b, c); slab x holds a = x for coordinate 1 and b = x
-    for coordinates 2 and 3, so a slab takes O(n^2) bytes.
+    Write σ_x = L[x] for the rows and τ_y = R[.][y] for the columns, so
+    that r(x, y) = (σ_x(y), τ_y(x)).  With (u, v) = r(a, b),
+    (w, z) = r(b, c) and q = τ_w(a), the triple (a, b, c) goes to
+    (σ_u σ_v(c), τ_{σ_v(c)}(u), τ_c(v)) on the left and
+    (σ_a(w), σ_q(z), τ_z(q)) on the right.  For each b:
+    - coordinate 1, σ_u σ_v = σ_a σ_b, sees a only through σ_a and
+      σ_{τ_b(a)}, as u = σ_a(b) and v = τ_b(a);
+    - coordinate 3, τ_c τ_b = τ_z τ_w as maps of a, sees c only through
+      τ_c and τ_{σ_b(c)}, as w = σ_b(c) and z = τ_c(b);
+    - coordinate 2 sees a through σ_a, σ_{τ_b(a)} and σ_{τ_w(a)}, and c
+      through τ_c, τ_{σ_b(c)} and τ_{σ_v(c)}.
+    So a enters only through sig(a) = (σ_a, σ_{t(a)} for each distinct
+    map t among the τ_y) and c only through sig'(c) = (τ_c, τ_{s(c)} for
+    each distinct map s among the σ_x).  The identity holds on every
+    triple exactly when, for every b, coordinate 1 holds for a in R_a,
+    coordinate 3 for c in R_c and coordinate 2 for both, with R_a and R_c
+    the least element of each class of sig and of sig' (_representatives).
+
+    Each side of each coordinate is then one translate of a row or a
+    column of L or R by another: coordinate 1 as rows over c per (a, b),
+    one slab per a in R_a; coordinate 3 as columns over a per (b, c), c in
+    R_c; coordinate 2 as rows over c in R_c per a in R_a on the left and
+    columns over a in R_a per c in R_c on the right, compared after
+    transposing the columns with |R_a| strided slices.  That is
+    O(n (|R_a| + |R_c|)) translates, one slab of O(n^2) entries at a time.
+    Up to tables.BYTES_BOUND rows and columns are bytes and a translate is
+    bytes.translate; above it they are tuples and _map_through.
     """
     n = len(lam)
-    cols_l, cols_r = list(zip(*lam)), list(zip(*rho))
-    rows_l, col_r = [bytes(t) for t in lam], [bytes(t) for t in cols_r]
-    by_l, by_r, by_col_l, by_col_r = (
-        [bytes(t).ljust(256, b"\0") for t in tab] for tab in (lam, rho, cols_l, cols_r)
-    )
-    flat_l = b"".join(rows_l)
-    for x in range(n):
-        row = list(zip(lam[x], rho[x]))  # r(x, y) over y
-        # 1, rows over c per (x, b): L[v] by L[u] against L[b] by L[x]
-        if b"".join([rows_l[v].translate(by_l[u]) for u, v in row]) != flat_l.translate(by_l[x]):
+    if n > tables.BYTES_BOUND:
+        enc, tr = tuple, _map_through
+
+        def cat(parts):
+            return tuple(chain.from_iterable(parts))
+
+        def pad(seq):
+            return seq
+    else:
+        enc, tr, cat = bytes, bytes.translate, b"".join
+
+        def pad(seq):
+            return seq.ljust(256, b"\0")  # a translate table
+    rows_l, rows_r = [enc(t) for t in lam], [enc(t) for t in rho]
+    flat_l, flat_r = cat(rows_l), cat(rows_r)
+    cols_l, cols_r = [flat_l[c::n] for c in range(n)], [flat_r[c::n] for c in range(n)]
+    ra, rc = _representatives(rows_l, cols_r), _representatives(cols_r, rows_l)
+    at_a, at_c, k = _gather(ra), _gather(rc), len(ra)
+    rows_lc, cols_ra = [enc(at_c(t)) for t in rows_l], [enc(at_a(t)) for t in cols_r]
+    by_l, by_r, by_col_l, by_col_r = ([pad(t) for t in tab] for tab in (rows_l, rows_r, cols_l, cols_r))
+    for a in ra:
+        # 1, rows over c per (a, b): L[v] by L[u] against L[b] by L[a]
+        if cat([tr(rows_l[v], by_l[u]) for u, v in zip(lam[a], rho[a])]) != tr(flat_l, by_l[a]):
             return False
-        # 3, columns over a per (x, c): R column x by R column c against
+    for b in range(n):
+        row = list(zip(at_c(lam[b]), at_c(rho[b])))  # r(b, c) over c in R_c
+        # 3, columns over a per (b, c): R column b by R column c against
         # R column w by R column z
-        lhs = b"".join([col_r[x].translate(t) for t in by_col_r])
-        if lhs != b"".join([col_r[w].translate(by_col_r[z]) for w, z in row]):
+        lhs = cat([tr(cols_r[b], by_col_r[c]) for c in rc])
+        if lhs != cat([tr(cols_r[w], by_col_r[z]) for w, z in row]):
             return False
-        # 2, rows over c per (a, x) on the left, (u, v) = r(a, x); columns
-        # over a per (x, c) on the right, transposed by strided slices
-        lhs = b"".join([rows_l[v].translate(by_r[u]) for u, v in zip(cols_l[x], cols_r[x])])
-        rhs = b"".join([col_r[w].translate(by_col_l[z]) for w, z in row])
-        if lhs != b"".join([rhs[a::n] for a in range(n)]):
+        # 2, rows over c in R_c per (a, b) on the left, (u, v) = r(a, b);
+        # columns over a in R_a per (b, c) on the right, transposed
+        lhs = cat([tr(rows_lc[v], by_r[u]) for u, v in zip(at_a(cols_l[b]), at_a(cols_r[b]))])
+        rhs = cat([tr(cols_ra[w], by_col_l[z]) for w, z in row])
+        if lhs != cat([rhs[i::k] for i in range(k)]):
             return False
     return True
 
@@ -100,18 +154,17 @@ def _braid_holds(lam, rho) -> bool:
 def check_braid(r: SolutionTable) -> tuple[int, int, int] | None:
     """Least triple violating the braid identity, or None when it holds.
 
-    r12 r23 r12 = r23 r12 r23 is decided on all n^3 triples by _braid_holds
-    up to tables.BYTES_BOUND.  Above it, and for the least witness once
-    _braid_holds fails, _least_row_failure compares three rows over c per
-    (a, b), one per coordinate.  With r(x, y) = (L[x][y], R[x][y]) and
+    r12 r23 r12 = r23 r12 r23 is decided on all n^3 triples by _braid_holds,
+    at every order.  Only once it fails does _least_row_failure compare
+    three rows over c per (a, b), one per coordinate, in lexicographic
+    order, for the least witness.  With r(x, y) = (L[x][y], R[x][y]) and
     (u, v) = r(a, b), the left side at (a, b, c) is
     (L[u][L[v][c]], R[u][L[v][c]], R[v][c]) and the right side, with
     q = R[a][L[b][c]], is (L[a][L[b][c]], L[q][R[b][c]], R[q][R[b][c]]).
     """
     n = r.order
     lam, rho = _split(r)
-    small = n <= tables.BYTES_BOUND
-    if small and _braid_holds(lam, rho):
+    if _braid_holds(lam, rho):
         return None
     after = [_gather(row) for row in lam]  # after[y](f) = c -> f[L[y][c]]
 
@@ -127,8 +180,8 @@ def check_braid(r: SolutionTable) -> tuple[int, int, int] | None:
         return lhs, rhs
 
     bad = _least_row_failure(n, rows)
-    if small and bad is None:
-        raise InternalInvariantBroken("bytes braid test rejects a solution the row scan accepts")
+    if bad is None:
+        raise InternalInvariantBroken("braid kernel rejects a solution the row scan accepts")
     return bad
 
 

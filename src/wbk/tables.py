@@ -16,8 +16,8 @@ from .errors import InternalInvariantBroken, ValidationError
 # the largest order whose elements fit in one byte: up to it, the hom
 # search (its extension steps and checks, _iter_group_homs), the check of
 # each map it yields (_hom_test) and the braid check run on bytes with
-# bytes.translate; above it the search runs the same plan on lists and
-# the checks scan elementwise.
+# bytes.translate; above it the search runs the same plan on lists, the
+# braid check the same loop on tuples, and _hom_test scans elementwise.
 BYTES_BOUND = 256
 
 
@@ -488,7 +488,13 @@ def _plan_slots(a: FiniteGroupTable) -> tuple[list[int], list[tuple]]:
                 last = steps[-1] if steps and steps[-1][2] == j else None
                 if last and type(last[3]) is list and p < last[0]:
                     last[3].append(p)
-                elif last and p == r - 1 and (type(last[3]) is int or len(last[3]) == 1):
+                elif last and (type(last[3]) is int or len(last[3]) == 1):
+                    # here p == r - 1 (p < r as slot p exists): last
+                    # ends at slot r - 1, and either it is that one slot and
+                    # p >= r - 1 as the run branch failed, or it is a chain
+                    # and slot r - 1 came from parent r - 2 by this j;
+                    # parents come in slot order and walk each j once, so
+                    # p > r - 2
                     last[3] = last[3][0] if type(last[3]) is list else last[3]
                 else:
                     last = [r, r, j, [p]]

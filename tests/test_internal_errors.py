@@ -239,7 +239,7 @@ CLI_CASES = [
     ("compose", _iso_not_hom, "assembled isomorphism fails on a pair"),
     ("tables", _hom_search_leaf, "hom closure produced a non-hom at (0, 1)"),
     ("tables", _hom_test_alone, "bytes hom test rejects a hom the scan accepts"),
-    ("solutions", _braid_bytes_reject, "bytes braid test rejects a solution the row scan accepts"),
+    ("solutions", _braid_bytes_reject, "braid kernel rejects a solution the row scan accepts"),
 ]
 
 

@@ -1,14 +1,14 @@
 """The table kernels against brute-force oracles.
 
 Associativity (Light's test on a generating set), compatibility (on a
-generating set of (S, +)) and the braid check (bytes rows and columns up
-to tables.BYTES_BOUND, one row over c per (a, b) above it) must agree
-with a plain lexicographic scan of every triple: same verdict, law,
-witness and side.  The equivariance check of glued solutions must agree
-with a scan of every pair, and composition of solutions with its
-per-entry definition.  The inverse search of validate_group must find the
-inverse a scan of every x finds.  The recursive searches must leave no
-reference cycle behind.
+generating set of (S, +)) and the braid check (on signature
+representatives, bytes up to tables.BYTES_BOUND and tuples above it, then
+one row over c per (a, b) for the witness) must agree with a plain
+lexicographic scan of every triple: same verdict, law, witness and side.
+The equivariance check of glued solutions must agree with a scan of every
+pair, and composition of solutions with its per-entry definition.  The
+inverse search of validate_group must find the inverse a scan of every x
+finds.  The recursive searches must leave no reference cycle behind.
 """
 
 import gc
@@ -20,7 +20,7 @@ import pytest
 from conftest import exotic, exotic_chain, exotic_chain_spec, relabelled_table, symmetric_table
 
 import wbk
-from wbk import SolutionTable, ValidationError, braces, tables, validate_group
+from wbk import SolutionTable, ValidationError, braces, solutions, tables, validate_group
 from wbk.tables import _close, _first_nonassoc, _generators, _mask
 
 # gens = [0], and the least non-associative triple (0, 1, 0) has its middle
@@ -358,7 +358,7 @@ def _solutions():
 
 
 def test_check_braid_matches_scan(monkeypatch):
-    # the bytes kernel (orders up to tables.BYTES_BOUND) and the row kernel
+    # the bytes kernel (orders up to tables.BYTES_BOUND) and the tuple kernel
     # (forced by a bound of 0) on the same solutions, corrupted solutions
     # and random tables, each against the plain scan of every triple
     rng = random.Random(22)
@@ -396,6 +396,131 @@ def test_check_braid_property():
         assert wbk.check_braid(bad) == _braid_scan(bad)
 
     check()
+
+
+def _table_solution(lam, rho):
+    """r(x, y) = (lam[x][y], rho[x][y]), from the rows of both tables."""
+    return SolutionTable(len(lam), tuple(tuple(zip(lr, rr)) for lr, rr in zip(lam, rho)))
+
+
+def _pooled(rng, n):
+    """A solution table whose rows L[x] come from a pool of one or two maps
+    and whose columns R[.][y] from another, each map degenerate or bijective."""
+
+    def pool():
+        return [
+            rng.sample(range(n), n) if rng.random() < 0.5 else [rng.randrange(n) for _ in range(n)]
+            for _ in range(rng.randint(1, 2))
+        ]
+
+    sigmas, taus = pool(), pool()
+    cols = [rng.choice(taus) for _ in range(n)]
+    return _table_solution([rng.choice(sigmas) for _ in range(n)], [[t[x] for t in cols] for x in range(n)])
+
+
+def _conjugations(k):
+    """(y, y^-1 x y) and (x y x^-1, x) on S_k: one row map and k! column
+    maps, then the other way round."""
+    op = symmetric_table(k)
+    n, inv = len(op), [row.index(0) for row in op]
+    right = _table_solution([range(n)] * n, [[op[op[inv[y]][x]][y] for y in range(n)] for x in range(n)])
+    left = _table_solution([[op[op[x][y]][inv[x]] for y in range(n)] for x in range(n)], [[x] * n for x in range(n)])
+    return [right, left]
+
+
+# (rows of L, rows of R, least witness): each fails only where the second
+# half of a signature separates a from the representative of its row map
+# (the first) or c from that of its column map (the second)
+SIG_PINNED = [
+    (((1, 1, 1), (0, 1, 2), (1, 1, 1)), ((2, 2, 2), (1, 1, 1), (1, 1, 1)), (2, 0, 0)),
+    (((0, 2, 2), (0, 2, 2), (0, 2, 2)), ((2, 2, 0), (2, 2, 1), (2, 2, 2)), (0, 0, 1)),
+]
+
+
+def test_check_braid_matches_scan_on_few_distinct_maps(monkeypatch):
+    # _braid_holds checks a only at the least element of each sig class and
+    # c at the least of each sig' class; one or two distinct row and column
+    # maps make those classes large
+    rng = random.Random(25)
+    twos = [(t[:2], t[2:]) for t in product(range(2), repeat=4)]
+    cases = [_table_solution(lam, rho) for lam, rho in product(twos, repeat=2)]
+    cases += [_pooled(rng, rng.randint(1, 4)) for _ in range(800)]
+    cases += _conjugations(3) + _conjugations(4)
+    cases += [_table_solution(lam, rho) for lam, rho, _ in SIG_PINNED]
+    wants = [_braid_scan(r) for r in cases]
+    for bound in (tables.BYTES_BOUND, 0):
+        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        for r, want in zip(cases, wants):
+            assert wbk.check_braid(r) == want, (bound, r)
+    assert wants[-6:] == [None] * 4 + [want for _, _, want in SIG_PINNED]
+    assert sum(want is None for want in wants) > 150
+    assert sum(want is not None for want in wants) > 500
+
+
+def _signature_classes(r):
+    """The least element of each class of sig and of sig', from the
+    definitions: sig(a) = (σ_a, σ_t(a) for each distinct column map t) and
+    sig'(c) = (τ_c, τ_s(c) for each distinct row map s)."""
+    n = r.order
+    sigma = [tuple(r.apply(x, y)[0] for y in range(n)) for x in range(n)]
+    tau = [tuple(r.apply(x, y)[1] for x in range(n)) for y in range(n)]
+    sig = [(sigma[a], *(sigma[t[a]] for t in set(tau))) for a in range(n)]
+    sig_ = [(tau[c], *(tau[s[c]] for s in set(sigma))) for c in range(n)]
+    return tuple(sorted({s: x for x, s in reversed(list(enumerate(sigs)))}.values()) for sigs in (sig, sig_))
+
+
+def _representative_pair(r, enc=tuple):
+    lam, rho = solutions._split(r)
+    rows, cols = [enc(t) for t in lam], [enc(t) for t in zip(*rho)]
+    return solutions._representatives(rows, cols), solutions._representatives(cols, rows)
+
+
+def test_representatives_are_the_least_of_each_signature_class():
+    rng = random.Random(26)
+    sols = _solutions() + _conjugations(3) + [_pooled(rng, rng.randint(1, 6)) for _ in range(300)]
+    sols += [_table_solution(lam, rho) for lam, rho, _ in SIG_PINNED]
+    for r in sols:
+        want = _signature_classes(r)
+        assert _representative_pair(r) == want, r
+        assert _representative_pair(r, bytes) == want, r
+
+
+def test_representative_counts():
+    def counts(r):
+        return tuple(map(len, _representative_pair(r)))
+
+    for n in (4, 6, 24, 64, 258):
+        assert counts(wbk.solution_of(exotic(n).as_dual())) == (2, 2), n
+    catalog = dict(wbk.catalog_structures())
+    for name, want in (
+        ("c2_trivial", (1, 1)), ("c3_trivial", (1, 1)), ("c4_trivial", (1, 1)), ("c6_trivial", (1, 1)),
+        ("klein4_trivial", (1, 1)), ("sym3_trivial", (1, 6)), ("c3_sym3", (2, 9)), ("sl3_trivial", (3, 3)),
+    ):
+        assert counts(wbk.solution_of(catalog[name])) == want, name
+    assert [counts(r) for r in _conjugations(4)] == [(1, 24), (24, 1)]
+
+
+def test_check_braid_scans_rows_only_for_the_witness(monkeypatch):
+    # past tables.BYTES_BOUND too, a solution is accepted without the row
+    # scan, and a failure still gets the least witness
+    sols = _solutions() + [wbk.solution_of(exotic(258).as_dual())]
+
+    def refuse(n, rows):
+        raise AssertionError("row scan on a solution")
+
+    with monkeypatch.context() as m:
+        m.setattr(solutions, "_least_row_failure", refuse)
+        for bound in (tables.BYTES_BOUND, 0):
+            m.setattr(tables, "BYTES_BOUND", bound)
+            assert all(wbk.check_braid(r) is None for r in sols)
+    big = sols[-1]
+    pairs = [list(row) for row in big.pairs]
+    u, v = pairs[0][5]
+    pairs[0][5] = (u, (v + 1) % big.order)
+    bad = SolutionTable(big.order, tuple(map(tuple, pairs)))
+    want = _braid_scan(bad)  # it stops at the least witness
+    assert want is not None and want[0] == 0
+    assert wbk.check_braid(bad) == want
 
 
 def _equivariance_scan(y, sols, maps):
