@@ -4,7 +4,8 @@ A skew brace pairs two group tables sharing an identity; a dual weak brace
 pairs two Clifford tables sharing their idempotents.  Both satisfy
 a*(b+c) = a*b - a + a*c; dual weak braces additionally satisfy
 a*a' = -a + a, which ties the two notions of "loss of invertibility"
-together.  Derived maps (lam, rho, dot, commutators) live here as cached tables.
+together.  Derived maps (lam, rho, dot, commutators) live here as cached
+tables, built from translated rows and columns (see tables._codec).
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from .tables import (
     FiniteGroupTable,
     SemilatticeTable,
     _centre,
-    _first_row_failure,
+    _codec,
     _gather,
     _induced,
+    _least_row_failure,
     clifford_of_group,
     validate_clifford,
     validate_group,
@@ -104,27 +106,48 @@ class DualWeakBrace:
 
     @cached_property
     def _lam(self) -> list[list[int]]:
-        """[a][b] = lam_a(b) = -a + a*b."""
+        """[a][b] = lam_a(b) = -a + a*b: row a of * by row -a of +."""
+        enc, tr, _, pad = _codec(self.order)
         aop, neg = self.add.op, self.add.inv
-        return [list(map(aop[neg[a]].__getitem__, row)) for a, row in enumerate(self.mul.op)]
+        return [list(tr(enc(row), pad(enc(aop[neg[a]])))) for a, row in enumerate(self.mul.op)]
 
     @cached_property
     def _rho(self) -> list[list[int]]:
-        """[b][a] = rho_b(a) = (lam_a(b))' * a * b, inverse in mul: row b is rho_b."""
-        mop, minv, lam, n = self.mul.op, self.mul.inv, self._lam, self.order
-        return [[mop[mop[minv[lam[a][b]]][a]][b] for a in range(n)] for b in range(n)]
+        """[b][a] = rho_b(a) = (lam_a(b))' * a * b, inverse in mul: row b is rho_b.
+
+        p(a, b) = (lam_a(b))' * a is row a of lam by x -> x' * a (the
+        inverses by column a of *), and row b is column b of p by column b
+        of *.
+        """
+        n = self.order
+        enc, tr, cat, pad = _codec(n)
+        flat = cat([enc(row) for row in self.mul.op])
+        cols = [pad(flat[c::n]) for c in range(n)]
+        minv = enc(self.mul.inv)
+        p = cat([tr(enc(row), pad(tr(minv, col))) for row, col in zip(self._lam, cols)])
+        return [list(tr(p[b::n], cols[b])) for b in range(n)]
 
     @cached_property
     def _dot(self) -> list[list[int]]:
-        """[a][b] = a.b = -a + a*b - b = lam_a(b) - b."""
-        aop, neg = self.add.op, self.add.inv
-        return [[aop[x][neg[b]] for b, x in enumerate(row)] for row in self._lam]
+        """[a][b] = a.b = -a + a*b - b = lam_a(b) - b: column b is column b
+        of lam by column -b of +."""
+        n, neg = self.order, self.add.inv
+        enc, tr, cat, pad = _codec(n)
+        lam, add = (cat([enc(row) for row in tab]) for tab in (self._lam, self.add.op))
+        t = cat([tr(lam[b::n], pad(add[neg[b]::n])) for b in range(n)])  # column-major
+        return [list(t[a::n]) for a in range(n)]
 
     @cached_property
     def _add_commutator(self) -> list[list[int]]:
-        """[a][b] = [a,b]+ = -a - b + a + b."""
-        aop, neg, n = self.add.op, self.add.inv, self.order
-        return [[aop[aop[aop[neg[a]][neg[b]]][a]][b] for b in range(n)] for a in range(n)]
+        """[a][b] = [a,b]+ = -a - b + a + b = -a + (-b + a + b), as + is
+        associative: k(b, a) = -b + a + b is row -b of + by column b of +,
+        and row a is column a of k by row -a of +."""
+        n, neg = self.order, self.add.inv
+        enc, tr, cat, pad = _codec(n)
+        rows = [enc(row) for row in self.add.op]
+        flat = cat(rows)
+        k = cat([tr(rows[neg[b]], pad(flat[b::n])) for b in range(n)])
+        return [list(tr(k[a::n], pad(rows[neg[a]]))) for a in range(n)]
 
     # -- structure-level helpers --------------------------------------------
 
@@ -163,8 +186,23 @@ def _check_compatibility(add: CliffordTable, mul: CliffordTable) -> None:
     = a*(b+b') - a + a*c.  So Q is everything once it holds a generating
     set of (S, +).  A group's gens may leave out the shared identity e,
     which is in Q: a*(e+c) = a*c = a*e - a + a*c.
+
+    For each b in add.gens both sides over (a, c) are n rows (see _codec):
+    row b of + by row a of *, against row a of * by row a*b - a of +,
+    joined and compared once.  Only after a mismatch are the rows scanned
+    for the least witness.
     """
-    aop, mop, neg = add.op, mul.op, add.inv
+    aop, mop, neg, n = add.op, mul.op, add.inv, add.order
+    enc, tr, cat, pad = _codec(n)
+    arows, mrows = [enc(row) for row in aop], [enc(row) for row in mop]
+    apads, mpads, mflat = [pad(row) for row in arows], [pad(row) for row in mrows], cat(mrows)
+
+    def holds(b: int) -> bool:
+        lhs = cat([tr(arows[b], p) for p in mpads])
+        return lhs == cat([tr(mrows[a], apads[aop[x][neg[a]]]) for a, x in enumerate(mflat[b::n])])
+
+    if all(map(holds, add.gens)):
+        return
     gather_add = [_gather(row) for row in aop]
     gather_mul = [_gather(row) for row in mop]
 
@@ -172,9 +210,10 @@ def _check_compatibility(add: CliffordTable, mul: CliffordTable) -> None:
         # c -> a*(b+c) and c -> (a*b - a) + a*c
         return (gather_add[b](mop[a]),), (gather_mul[a](aop[aop[mop[a][b]][neg[a]]]),)
 
-    bad = _first_row_failure(add.order, add.gens, rows)
-    if bad is not None:
-        raise ValidationError("compatibility", bad)
+    bad = _least_row_failure(n, rows)
+    if bad is None:
+        raise InternalInvariantBroken("compatibility kernel rejects a table pair the row scan accepts")
+    raise ValidationError("compatibility", bad)
 
 
 def _validate_sides(validate, add_raw, mul_raw) -> tuple:

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from math import lcm
 from operator import getitem
 
-from . import tables
 from .braces import DualWeakBrace
 from .errors import InternalInvariantBroken, NoPeriod, ValidationError
-from .tables import SemilatticeTable, _first_non_hom, _gather, _glue, _least_row_failure, _map_through, _validate_hom_system
+from .tables import SemilatticeTable, _codec, _first_non_hom, _gather, _glue, _least_row_failure, _validate_hom_system
 
 
 @dataclass(frozen=True)
@@ -107,23 +105,11 @@ def _braid_holds(lam, rho) -> bool:
     columns over a in R_a per c in R_c on the right, compared after
     transposing the columns with |R_a| strided slices.  That is
     O(n (|R_a| + |R_c|)) translates, one slab of O(n^2) entries at a time.
-    Up to tables.BYTES_BOUND rows and columns are bytes and a translate is
-    bytes.translate; above it they are tuples and _map_through.
+    Rows and columns are encoded by tables._codec: bytes up to
+    tables.BYTES_BOUND and tuples above it.
     """
     n = len(lam)
-    if n > tables.BYTES_BOUND:
-        enc, tr = tuple, _map_through
-
-        def cat(parts):
-            return tuple(chain.from_iterable(parts))
-
-        def pad(seq):
-            return seq
-    else:
-        enc, tr, cat = bytes, bytes.translate, b"".join
-
-        def pad(seq):
-            return seq.ljust(256, b"\0")  # a translate table
+    enc, tr, cat, pad = _codec(n)
     rows_l, rows_r = [enc(t) for t in lam], [enc(t) for t in rho]
     flat_l, flat_r = cat(rows_l), cat(rows_r)
     cols_l, cols_r = [flat_l[c::n] for c in range(n)], [flat_r[c::n] for c in range(n)]
@@ -226,24 +212,32 @@ class RegularityReport:
 def check_regularity(s: DualWeakBrace) -> RegularityReport:
     """Pointwise f f' f = f, f' f f' = f', f f' = f' f for every lam_a and
     rho_a, with f' the map of the mul-inverse element.  Bijectivity of each
-    map is reported as a diagnostic only."""
-    n, lam_rows, rho_rows = s.order, s._lam, s._rho
+    map is reported as a diagnostic only.
 
-    def comp(f, g):
-        return [f[x] for x in g]  # a list, like the rows it is compared with
+    Each composite is one translate (see tables._codec): f after g is g
+    translated by f.  The witness is the first failure by a, then lambda
+    before rho, then the laws in the order above.
+    """
+    n = s.order
+    enc, tr, _, pad = _codec(n)
+    maps = {name: [enc(row) for row in rows] for name, rows in (("lambda", s._lam), ("rho", s._rho))}
 
-    witness = None
-    for a, ai in enumerate(s.mul.inv):
-        for name, rows in (("lambda", lam_rows), ("rho", rho_rows)):
-            f, g = rows[a], rows[ai]
-            if comp(comp(f, g), f) != f:
-                witness = witness or (name, "sandwich", a)
-            if comp(comp(g, f), g) != g:
-                witness = witness or (name, "sandwich_inv", a)
-            if comp(f, g) != comp(g, f):
-                witness = witness or (name, "commute", a)
-    lam_bij = tuple(len(set(row)) == n for row in lam_rows)
-    rho_bij = tuple(len(set(row)) == n for row in rho_rows)
+    def first_failure():
+        for a, ai in enumerate(s.mul.inv):
+            for name, rows in maps.items():
+                f, g = rows[a], rows[ai]
+                fg, gf = tr(g, pad(f)), tr(f, pad(g))
+                if tr(f, pad(fg)) != f:
+                    return (name, "sandwich", a)
+                if tr(g, pad(gf)) != g:
+                    return (name, "sandwich_inv", a)
+                if fg != gf:
+                    return (name, "commute", a)
+        return None
+
+    witness = first_failure()
+    lam_bij = tuple(len(set(row)) == n for row in s._lam)
+    rho_bij = tuple(len(set(row)) == n for row in s._rho)
     return RegularityReport(witness is None, witness, lam_bij, rho_bij)
 
 

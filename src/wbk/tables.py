@@ -2,38 +2,78 @@
 
 Structures live on {0, ..., n-1} and are given as dense row-major tables.
 Validation is exhaustive and eager; a failure reports the first violated
-axiom with the lexicographically smallest witness tuple.
+axiom with the lexicographically smallest witness tuple.  The whole-table
+checks walk whole rows in C (see _codec); their per-entry scans run only
+once a row pass fails, to name that witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, product, starmap
-from operator import itemgetter
+from itertools import chain, product
+from operator import countOf, itemgetter, methodcaller
 
 from .errors import InternalInvariantBroken, ValidationError
 
-# the largest order whose elements fit in one byte: up to it, the hom
-# search (its extension steps and checks, _iter_group_homs), the check of
-# each map it yields (_hom_test) and the braid check run on bytes with
-# bytes.translate; above it the search runs the same plan on lists, the
-# braid check the same loop on tuples, and _hom_test scans elementwise.
+# the largest order whose elements fit in one byte: up to it the row
+# kernels (see _codec), the hom search (its extension steps and checks,
+# _iter_group_homs) and the check of each map it yields (_hom_test) run on
+# bytes with bytes.translate; above it the row kernels run the same loops
+# on tuples, the search the same plan on lists, and _hom_test scans
+# elementwise.  Read at call time.
 BYTES_BOUND = 256
 
 
+# row -> row as a bytes.translate table (values past its end go to 0)
+_pad = methodcaller("ljust", 256, b"\0")
+
+
+def _cat_tuples(parts) -> tuple:
+    return tuple(chain.from_iterable(parts))
+
+
+def _codec(n: int) -> tuple:
+    """How the row kernels encode the rows of a table of order n: (enc,
+    tr, cat, pad), with tr(seq, pad(row)) the row[v] for v in seq.
+
+    Up to BYTES_BOUND a row is bytes, tr is bytes.translate, cat joins and
+    pad makes a 256-byte translate table; above it a row is a tuple, tr is
+    _map_through, cat chains, and pad is tuple, which returns a tuple row
+    itself.  Either way a column c of the joined rows is flat[c::n].
+    """
+    if n > BYTES_BOUND:
+        return tuple, _map_through, _cat_tuples, tuple
+    return bytes, bytes.translate, b"".join, _pad
+
+
 def _frozen_table(raw) -> tuple[tuple[int, ...], ...]:
-    """Shape- and range-check a raw table, freezing it to nested tuples."""
+    """Shape- and range-check a raw table, freezing it to nested tuples.
+
+    A row of n plain ints in range(n) passes on C-level calls: a count of
+    its entries of exact type int, then, up to BYTES_BOUND, bytes(row) with
+    the bytes of range(n) deleted, which is empty exactly then (bytes()
+    raises on an entry outside range(256)); above it min and max.  Any
+    other row gets the per-entry scan, which names the least witness, or
+    passes the row when its odd entries are int subclasses other than bool
+    (an IntEnum, say).
+    """
     n = len(raw)
     if n == 0:
         raise ValidationError("not_closed", ())
+    small = n <= BYTES_BOUND
+    valid = bytes(range(n)) if small else None
     rows = []
     for a, row in enumerate(raw):
         row = tuple(row)
         if len(row) != n:
             raise ValidationError("not_closed", (a,))
-        # a row of plain ints in range passes on C-level calls; any other
-        # row (bools, int subclasses, out of range) gets the per-entry scan
-        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+        try:
+            plain = countOf(map(type, row), int) == n and (
+                not bytes(row).translate(None, valid) if small else min(row) >= 0 and max(row) < n
+            )
+        except ValueError:  # from bytes(): an entry outside range(256)
+            plain = False
+        if not plain:
             for b, v in enumerate(row):
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     raise ValidationError("not_closed", (a, b))
@@ -48,24 +88,15 @@ def _gather(idx):
     return lambda row: tuple(row[i] for i in idx)
 
 
-def _first_row_failure(n: int, gens, rows) -> tuple[int, int, int] | None:
+def _least_row_failure(n: int, rows) -> tuple[int, int, int] | None:
     """Least (a, b, c) at which the two sides of a law differ, or None.
 
     rows(a, b) gives both sides of a law in three variables as equal-length
     tuples of rows over c, one row per coordinate of the law's value; the
-    sides differ at c when any coordinate does.  The caller proves that the
-    law holds for every b once it holds for every b in gens, so comparing
-    those rows decides it.  Only when one of them fails is every (a, b)
-    scanned, in lexicographic order, for the least witness.
+    sides differ at c when any coordinate does.  Every (a, b) is scanned in
+    lexicographic order: the row kernels run this only once they reject,
+    to name the least witness.
     """
-    if all(lhs == rhs for lhs, rhs in starmap(rows, product(range(n), gens))):
-        return None
-    return _least_row_failure(n, rows)
-
-
-def _least_row_failure(n: int, rows) -> tuple[int, int, int] | None:
-    """Least (a, b, c) at which the two sides of rows(a, b) differ (see
-    _first_row_failure), scanning every (a, b) in lexicographic order."""
     for a, b in product(range(n), repeat=2):
         lhs, rhs = rows(a, b)
         if lhs != rhs:
@@ -80,11 +111,22 @@ def _first_nonassoc(op, gens) -> tuple[int, int, int] | None:
     K = {b : (ab)c = a(bc) for all a, c} is closed under op: for b, b' in K,
     (a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c)) = a((bb')c).  So K is the
     whole table once it holds a generating set of (S, op).
+
+    For each b in gens both sides over (a, c) are n rows (see _codec): row
+    ab of op against row b translated by row a, joined and compared once.
+    Only after a mismatch are the rows scanned for the least witness.
     """
+    n = len(op)
+    enc, tr, cat, pad = _codec(n)
+    rows = [enc(row) for row in op]
+    flat, pads = cat(rows), [pad(row) for row in rows]
+    if all(cat(map(rows.__getitem__, flat[b::n])) == cat([tr(rows[b], p) for p in pads]) for b in gens):
+        return None
     gather = [_gather(row) for row in op]
-    return _first_row_failure(
-        len(op), gens, lambda a, b: ((op[op[a][b]],), (gather[b](op[a]),))
-    )
+    bad = _least_row_failure(n, lambda a, b: ((op[op[a][b]],), (gather[b](op[a]),)))
+    if bad is None:
+        raise InternalInvariantBroken("associativity kernel rejects a table the row scan accepts")
+    return bad
 
 
 def _centre(op) -> frozenset:
@@ -332,6 +374,39 @@ def validate_semilattice(raw) -> SemilatticeTable:
     return SemilatticeTable(n, meet)
 
 
+def _pseudo_inverse_scan(op, a: int) -> list[int]:
+    """Every x with (ax)a = a and (xa)x = x, scanning all x."""
+    return [x for x in range(len(op)) if op[op[a][x]][a] == a and op[op[x][a]][x] == x]
+
+
+def _pseudo_inverses(op) -> list[int]:
+    """Per a, its one x with (ax)a = a and (xa)x = x; raise not_inverse
+    (a,) at the first a with none or several.
+
+    Row a translated by column a (see _codec) is x -> (ax)a.  When a occurs
+    there once, at x, and (xa)x = x, then x is the one pseudo-inverse.
+    Otherwise _pseudo_inverse_scan decides; it can find exactly one x only
+    when a occurs twice or more.
+    """
+    n = len(op)
+    enc, tr, cat, pad = _codec(n)
+    rows = [enc(row) for row in op]
+    flat, inv = cat(rows), []
+    for a, row in enumerate(rows):
+        t = tr(row, pad(flat[a::n]))
+        k = t.count(a)
+        x = t.index(a) if k == 1 else None
+        if x is None or op[op[x][a]][x] != x:
+            cands = _pseudo_inverse_scan(op, a)
+            if len(cands) != 1:
+                raise ValidationError("not_inverse", (a,))
+            if k < 2:
+                raise InternalInvariantBroken("pseudo-inverse kernel rejects an element the scan accepts")
+            x = cands[0]
+        inv.append(x)
+    return inv
+
+
 def validate_clifford(raw) -> CliffordTable:
     """Check associativity, unique pseudo-inverses, and a a' = a' a."""
     op = _frozen_table(raw)
@@ -340,16 +415,7 @@ def validate_clifford(raw) -> CliffordTable:
     bad = _first_nonassoc(op, gens)
     if bad is not None:
         raise ValidationError("not_associative", bad)
-    inv = []
-    for a in range(n):
-        cands = [
-            x
-            for x in range(n)
-            if op[op[a][x]][a] == a and op[op[x][a]][x] == x
-        ]
-        if len(cands) != 1:
-            raise ValidationError("not_inverse", (a,))
-        inv.append(cands[0])
+    inv = _pseudo_inverses(op)
     for a in range(n):
         if op[a][inv[a]] != op[inv[a]][a]:
             raise ValidationError("not_clifford", (a,))
@@ -509,8 +575,10 @@ def _plan_slots(a: FiniteGroupTable) -> tuple[list[int], list[tuple]]:
 
 
 def _map_through(seq, col) -> tuple:
-    """tuple(col[v] for v in seq): seq.translate(col) for the list plan."""
-    return tuple(map(col.__getitem__, seq))
+    """tuple(col[v] for v in seq): seq.translate(col) for the list plan and
+    the tuple row kernels.  A fresh itemgetter is faster than a map over
+    col.__getitem__ from two entries up."""
+    return _gather(seq)(col)
 
 
 def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool = False):

@@ -4,7 +4,7 @@ import pytest
 from conftest import exotic, exotic_chain, non_chain
 
 import wbk
-from wbk import DualWeakBrace, ValidationError, validate_dual_weak_brace, validate_skew_brace
+from wbk import DualWeakBrace, ValidationError, tables, validate_dual_weak_brace, validate_skew_brace
 
 C4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
 # another order-4 group on the same labels; paired with C4 it breaks the
@@ -110,29 +110,34 @@ def _table_cases(all_structures):
     return cases + [(f"{name} op", s.opposite()) for name, s in cases]
 
 
-def test_derived_tables_match_an_oracle_on_the_raw_tables(all_structures):
-    rho_asymmetric = False
-    for name, s in _table_cases(all_structures):
-        fresh = DualWeakBrace(s.add, s.mul, s.idempotents, s.component_of)
-        before = hash(fresh)
-        want = _oracle_tables(fresh.add.op, fresh.mul.op)
-        for attr, table in want.items():
-            # == on nested lists also pins the row type: a tuple row is never == a list
-            assert getattr(fresh, attr) == table, (name, attr)
-            assert getattr(fresh, attr) is getattr(fresh, attr), (name, attr)
-        n = s.order
-        for a in range(n):
-            for b in range(n):
-                assert fresh.lam(a, b) == want["_lam"][a][b], name
-                assert fresh.rho(b, a) == want["_rho"][b][a], name
-                assert fresh.dot(a, b) == want["_dot"][a][b], name
-                assert fresh.add_commutator(a, b) == want["_add_commutator"][a][b], name
-        rho_asymmetric |= want["_rho"] != [list(col) for col in zip(*want["_rho"])]
-        # the cached tables stay out of equality and hashing, which classify's memo keys on
-        assert hash(fresh) == before and fresh == s, name
-        assert fresh == DualWeakBrace(s.add, s.mul, s.idempotents, s.component_of), name
-    # a transposed rho table must be told apart somewhere
-    assert rho_asymmetric
+def test_derived_tables_match_an_oracle_on_the_raw_tables(all_structures, monkeypatch):
+    # the tables are built from translated rows: bytes up to
+    # tables.BYTES_BOUND, and tuples when a bound of 0 forces them
+    cases = _table_cases(all_structures)
+    for bound in (tables.BYTES_BOUND, 0):
+        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        rho_asymmetric = False
+        for name, s in cases:
+            fresh = DualWeakBrace(s.add, s.mul, s.idempotents, s.component_of)
+            before = hash(fresh)
+            want = _oracle_tables(fresh.add.op, fresh.mul.op)
+            for attr, table in want.items():
+                # == on nested lists also pins the row type: a tuple row is never == a list
+                assert getattr(fresh, attr) == table, (bound, name, attr)
+                assert getattr(fresh, attr) is getattr(fresh, attr), (bound, name, attr)
+            n = s.order
+            for a in range(n):
+                for b in range(n):
+                    assert fresh.lam(a, b) == want["_lam"][a][b], name
+                    assert fresh.rho(b, a) == want["_rho"][b][a], name
+                    assert fresh.dot(a, b) == want["_dot"][a][b], name
+                    assert fresh.add_commutator(a, b) == want["_add_commutator"][a][b], name
+            rho_asymmetric |= want["_rho"] != [list(col) for col in zip(*want["_rho"])]
+            # the cached tables stay out of equality and hashing, which classify's memo keys on
+            assert hash(fresh) == before and fresh == s, name
+            assert fresh == DualWeakBrace(s.add, s.mul, s.idempotents, s.component_of), name
+        # a transposed rho table must be told apart somewhere
+        assert rho_asymmetric
 
 
 def test_glued_structure_shape(c3_sym3):

@@ -68,6 +68,13 @@ SPLIT_HOMS = {
 }
 
 
+# idempotent and commutative, but (0 1) 2 = 2 while 0 (1 2) = 0
+NONASSOCIATIVE_MEET = {"kind": "semilattice", "size": 3, "meet": [[0, 1, 0], [1, 1, 2], [0, 2, 2]]}
+
+# associative, but 1 has no pseudo-inverse: (1x)1 = 0 for every x
+NULL_PAIR = {"kind": "dual_weak_brace", "order": 2, "add": [[0, 0], [0, 0]], "mul": [[0, 0], [0, 0]]}
+
+
 def _series_socle_pullback(mp, tmp_path):
     mp.setattr(mod("series"), "_quotient_pullback", lambda s, prev, special, quotients: frozenset())
     return ["series", "socle", "--catalog", "z6_exotic"]
@@ -203,6 +210,22 @@ def _hom_test_alone(mp, tmp_path):
     return ["homs", "--catalog", "z6_exotic", "--catalog2", "z6_exotic"]
 
 
+def _associativity_reject(mp, tmp_path):
+    mp.setattr(mod("tables"), "_least_row_failure", lambda n, rows: None)
+    return ["validate", "--input", _write(tmp_path, NONASSOCIATIVE_MEET)]
+
+
+def _pseudo_inverse_reject(mp, tmp_path):
+    # the scan finds one pseudo-inverse where the kernel saw none
+    mp.setattr(mod("tables"), "_pseudo_inverse_scan", lambda op, a: [a])
+    return ["validate", "--input", _write(tmp_path, NULL_PAIR)]
+
+
+def _compatibility_reject(mp, tmp_path):
+    mp.setattr(mod("braces"), "_least_row_failure", lambda n, rows: None)
+    return ["validate", "--input", _write(tmp_path, SPLIT_HOMS)]
+
+
 def _braid_bytes_reject(mp, tmp_path):
     mp.setattr(mod("solutions"), "_braid_holds", lambda lam, rho: False)
     return ["braid", "--catalog", "z6_exotic"]
@@ -239,6 +262,9 @@ CLI_CASES = [
     ("compose", _iso_not_hom, "assembled isomorphism fails on a pair"),
     ("tables", _hom_search_leaf, "hom closure produced a non-hom at (0, 1)"),
     ("tables", _hom_test_alone, "bytes hom test rejects a hom the scan accepts"),
+    ("tables", _associativity_reject, "associativity kernel rejects a table the row scan accepts"),
+    ("tables", _pseudo_inverse_reject, "pseudo-inverse kernel rejects an element the scan accepts"),
+    ("braces", _compatibility_reject, "compatibility kernel rejects a table pair the row scan accepts"),
     ("solutions", _braid_bytes_reject, "braid kernel rejects a solution the row scan accepts"),
 ]
 

@@ -1,23 +1,30 @@
 """The table kernels against brute-force oracles.
 
+The row kernels run on bytes up to tables.BYTES_BOUND and on tuples above
+it; each test below runs both, forcing tuples with a bound of 0.
 Associativity (Light's test on a generating set), compatibility (on a
 generating set of (S, +)) and the braid check (on signature
-representatives, bytes up to tables.BYTES_BOUND and tuples above it, then
-one row over c per (a, b) for the witness) must agree with a plain
-lexicographic scan of every triple: same verdict, law, witness and side.
-The equivariance check of glued solutions must agree with a scan of every
-pair, and composition of solutions with its per-entry definition.  The
-inverse search of validate_group must find the inverse a scan of every x
-finds.  The recursive searches must leave no reference cycle behind.
+representatives), each followed by one row over c per (a, b) for the
+witness, must agree with a plain lexicographic scan of every triple: same
+verdict, law, witness and side.  The pseudo-inverses of validate_clifford
+must be those of a scan of every x, the range check of a raw table that of
+a scan of every entry, and check_regularity's verdict and witness those of
+composing the maps as lists.  The equivariance check of glued solutions
+must agree with a scan of every pair, and composition of solutions with
+its per-entry definition.  The inverse search of validate_group must find
+the inverse a scan of every x finds.  The recursive searches must leave no
+reference cycle behind.
 """
 
 import gc
 import random
+from enum import IntEnum
 from math import gcd
 from itertools import islice, product
+from types import SimpleNamespace
 
 import pytest
-from conftest import exotic, exotic_chain, exotic_chain_spec, relabelled_table, symmetric_table
+from conftest import exotic, exotic_chain, exotic_chain_spec, non_chain, relabelled_table, symmetric_table
 
 import wbk
 from wbk import SolutionTable, ValidationError, braces, solutions, tables, validate_group
@@ -61,6 +68,36 @@ def _braid_scan(r):
     return None
 
 
+def _pseudo_inverse_oracle(op):
+    """The pseudo-inverse of each a, scanning every x; not_inverse (a,) at
+    the first a with none or several."""
+    n, inv = len(op), []
+    for a in range(n):
+        cands = [x for x in range(n) if op[op[a][x]][a] == a and op[op[x][a]][x] == x]
+        if len(cands) != 1:
+            raise ValidationError("not_inverse", (a,))
+        inv.append(cands[0])
+    return inv
+
+
+def _frozen_oracle(raw):
+    """raw as nested tuples, scanning every entry; not_closed at the first
+    short row or the first entry that is not an int (bools excluded) in range."""
+    n = len(raw)
+    if n == 0:
+        raise ValidationError("not_closed", ())
+    rows = []
+    for a, row in enumerate(raw):
+        row = tuple(row)
+        if len(row) != n:
+            raise ValidationError("not_closed", (a,))
+        for b, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise ValidationError("not_closed", (a, b))
+        rows.append(row)
+    return tuple(rows)
+
+
 def _outcome(validate, *raw):
     try:
         validate(*raw)
@@ -70,9 +107,11 @@ def _outcome(validate, *raw):
 
 
 def _oracle_outcome(validate, *raw):
-    """_outcome with both kernels swapped for the per-triple scans."""
+    """_outcome with the row kernels swapped for the scans."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tables, "_frozen_table", _frozen_oracle)
         mp.setattr(tables, "_first_nonassoc", _nonassoc_scan)
+        mp.setattr(tables, "_pseudo_inverses", _pseudo_inverse_oracle)
         mp.setattr(braces, "_check_compatibility", _compatibility_scan)
         return _outcome(validate, *raw)
 
@@ -91,11 +130,16 @@ def _check_magma(op):
         assert _outcome(validate, op) == _oracle_outcome(validate, op), (validate.__name__, op)
 
 
-def test_light_matches_scan_on_random_magmas():
+def test_light_matches_scan_on_random_magmas(monkeypatch):
     rng = random.Random(20)
+    magmas = []
     for _ in range(1500):
         m = rng.randrange(1, 6)
-        _check_magma([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
+        magmas.append([[rng.randrange(m) for _ in range(m)] for _ in range(m)])
+    for bound in (tables.BYTES_BOUND, 0):
+        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        for op in magmas:
+            _check_magma(op)
 
 
 def test_fallback_reports_the_least_witness_outside_the_generators():
@@ -289,29 +333,31 @@ def _check_pair(add, mul):
     return out
 
 
-def test_validators_match_scans_on_corrupted_and_twisted_tables():
-    rng = random.Random(21)
-    seen = set()
-    for add, mul in _bases():
-        n = len(add)
-        seen.update(_check_pair(add, mul))
-        for side, _ in product((0, 1), range(12 if n > 1 else 0)):
-            tabs = [[list(row) for row in add], [list(row) for row in mul]]
-            a, b = rng.randrange(n), rng.randrange(n)
-            tabs[side][a][b] = (tabs[side][a][b] + rng.randrange(1, n)) % n
-            seen.update(_check_pair(*tabs))
-        # two valid tables with one relabelled by a permutation fixing 0:
-        # both pass as groups or Clifford semigroups, then compatibility decides
-        for _ in range(6):
-            rest = list(range(1, n))
-            rng.shuffle(rest)
-            perm = [0] + rest
-            seen.update(_check_pair(add, relabelled_table(mul, perm)))
-            seen.update(_check_pair(relabelled_table(add, perm), mul))
-    laws = {(o[0], o[2]) for o in seen if o != "valid"}
-    assert {("not_associative", "add"), ("not_associative", "mul"), ("compatibility", None)} <= laws
-    assert "valid" in seen
-    assert len({o[1] for o in seen if o != "valid" and o[0] == "compatibility"}) > 5
+def test_validators_match_scans_on_corrupted_and_twisted_tables(monkeypatch):
+    for bound in (tables.BYTES_BOUND, 0):
+        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        rng = random.Random(21)
+        seen = set()
+        for add, mul in _bases():
+            n = len(add)
+            seen.update(_check_pair(add, mul))
+            for side, _ in product((0, 1), range(12 if n > 1 else 0)):
+                tabs = [[list(row) for row in add], [list(row) for row in mul]]
+                a, b = rng.randrange(n), rng.randrange(n)
+                tabs[side][a][b] = (tabs[side][a][b] + rng.randrange(1, n)) % n
+                seen.update(_check_pair(*tabs))
+            # two valid tables with one relabelled by a permutation fixing 0:
+            # both pass as groups or Clifford semigroups, then compatibility decides
+            for _ in range(6):
+                rest = list(range(1, n))
+                rng.shuffle(rest)
+                perm = [0] + rest
+                seen.update(_check_pair(add, relabelled_table(mul, perm)))
+                seen.update(_check_pair(relabelled_table(add, perm), mul))
+        laws = {(o[0], o[2]) for o in seen if o != "valid"}
+        assert {("not_associative", "add"), ("not_associative", "mul"), ("compatibility", None)} <= laws
+        assert "valid" in seen
+        assert len({o[1] for o in seen if o != "valid" and o[0] == "compatibility"}) > 5
 
 
 def test_validators_property():
@@ -328,6 +374,184 @@ def test_validators_property():
         _check_pair(*tabs)
 
     check()
+
+
+def _result(f, *args):
+    """f(*args), or (law, witness) when it raises a ValidationError."""
+    try:
+        return f(*args)
+    except ValidationError as err:
+        return (err.law, err.witness)
+
+
+def _pseudo_inverse_bases():
+    """Chains, boolean semilattices, groups, and both tables of structures
+    with several components."""
+    out = [[[max(a, b) for b in range(k)] for a in range(k)] for k in (1, 2, 3, 5)]
+    out += [[[a & b for b in range(8)] for a in range(8)], [[a | b for b in range(4)] for a in range(4)]]
+    out += [[[(a + b) % n for b in range(n)] for a in range(n)] for n in (2, 3, 6)]
+    out += [exotic(8).mul.op, symmetric_table(3)]
+    out += [t.op for s in (exotic_chain((4, 2)), exotic_chain((6, 2, 2)), non_chain()) for t in (s.add, s.mul)]
+    return [tuple(map(tuple, op)) for op in out]
+
+
+def test_pseudo_inverses_match_the_scan(monkeypatch):
+    # the kernel reads x -> (ax)a off row a translated by column a, and only
+    # when a occurs there other than once, or its one x fails (xa)x = x,
+    # falls back to the scan of every x; groups never fall back
+    rng = random.Random(27)
+    cases, groups = [], []
+    for op in _pseudo_inverse_bases():
+        n = len(op)
+        cases.append(op)
+        if all(row.count(row[0]) == 1 for row in op):  # a Latin square: one of the groups
+            groups.append(op)
+        for _ in range(40 if n > 1 else 0):
+            bad = [list(row) for row in op]
+            for _ in range(rng.randrange(1, 4)):
+                bad[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            cases.append(tuple(map(tuple, bad)))
+    scan = tables._pseudo_inverse_scan
+    fallbacks = []
+
+    def recorded(op, a):
+        hits = [x for x in range(len(op)) if op[op[a][x]][a] == a]
+        fallbacks.append("none" if not hits else "one failing" if len(hits) == 1 else "several")
+        return scan(op, a)
+
+    monkeypatch.setattr(tables, "_pseudo_inverse_scan", recorded)
+    for bound in (tables.BYTES_BOUND, 0):
+        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        del fallbacks[:]
+        for op in groups:
+            assert tables._pseudo_inverses(op) == _pseudo_inverse_oracle(op), op
+        assert len(groups) == 6 and fallbacks == []
+        laws = set()
+        for op in cases:
+            want = _result(_pseudo_inverse_oracle, op)
+            assert _result(tables._pseudo_inverses, op) == want, (bound, op)
+            laws.add(want[0] if isinstance(want, tuple) else "found")
+            # the whole validator, with the scan in place of the kernel
+            assert _outcome(wbk.validate_clifford, op) == _oracle_outcome(wbk.validate_clifford, op), (bound, op)
+        assert laws == {"found", "not_inverse"}
+        assert set(fallbacks) == {"none", "one failing", "several"}
+
+
+class _Label(IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+def test_frozen_table_matches_the_entry_scan(monkeypatch):
+    # a row passes on an exact-type count and, up to tables.BYTES_BOUND, a
+    # translate that deletes range(n) (bytes() rejects entries past 255),
+    # above it min and max; every other row is scanned entry by entry
+    z3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    cases = [[], [[0, 1], [1]], [[0, 1], [1, 0, 1]], ["012", "120", "201"], [[_Label(v) for v in row] for row in z3]]
+    for v in (True, False, _Label.ONE, 1.0, None, "1", -1, 3, 255, 256, -(2**70), 2**70):
+        for a, b in ((0, 0), (1, 2), (2, 1)):
+            t = [list(row) for row in z3]
+            t[a][b] = v
+            cases.append(t)
+    for n in (256, 257):
+        base = [[(a + b) % n for b in range(n)] for a in range(n)]
+        for v in (255, 256, 257, -1):
+            t = [list(row) for row in base]
+            t[n - 2][7] = v
+            cases.append(t)
+    for bound in (tables.BYTES_BOUND, 0):
+        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        outcomes = []
+        for raw in cases:
+            want = _result(_frozen_oracle, raw)
+            got = _result(tables._frozen_table, raw)
+            assert got == want, (bound, raw)
+            if type(want[0]) is str:  # (law, witness)
+                outcomes.append(want)
+            else:  # the frozen table, with the same entry types
+                assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want], raw
+                outcomes.append("valid")
+        # order 3: an IntEnum table passes, and every planted value but the
+        # in-range IntEnum fails where it was planted
+        planted = [("not_closed", (0, 0)), ("not_closed", (1, 2)), ("not_closed", (2, 1))]
+        assert outcomes[:5] == [
+            ("not_closed", ()), ("not_closed", (1,)), ("not_closed", (1,)), ("not_closed", (0, 0)), "valid"
+        ]
+        assert outcomes[5:-8] == planted * 2 + ["valid"] * 3 + planted * 9
+        # orders 256 and 257: 255 passes at both, 256 only at 257
+        assert outcomes[-8:] == ["valid", ("not_closed", (254, 7))] + [("not_closed", (254, 7))] * 2 + [
+            "valid", "valid", ("not_closed", (255, 7)), ("not_closed", (255, 7))
+        ]
+
+
+def _regularity_oracle(s):
+    """check_regularity's report, composing the maps as lists."""
+    n, lam_rows, rho_rows = s.order, s._lam, s._rho
+
+    def comp(f, g):
+        return [f[x] for x in g]
+
+    witness = None
+    for a, ai in enumerate(s.mul.inv):
+        for name, rows in (("lambda", lam_rows), ("rho", rho_rows)):
+            f, g = rows[a], rows[ai]
+            if comp(comp(f, g), f) != f:
+                witness = witness or (name, "sandwich", a)
+            if comp(comp(g, f), g) != g:
+                witness = witness or (name, "sandwich_inv", a)
+            if comp(f, g) != comp(g, f):
+                witness = witness or (name, "commute", a)
+    lam_bij = tuple(len(set(row)) == n for row in lam_rows)
+    rho_bij = tuple(len(set(row)) == n for row in rho_rows)
+    return solutions.RegularityReport(witness is None, witness, lam_bij, rho_bij)
+
+
+def _map_tables(rng, n):
+    """A stand-in for a structure: lam and rho tables of list rows drawn
+    from a few maps (the identity, idempotents, permutations, any map), and
+    a random mul-inverse."""
+    ident = list(range(n))
+
+    def pool():
+        out = [ident]
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                out.append(rng.sample(ident, n))
+            else:
+                image = rng.sample(ident, rng.randint(1, n))
+                f = [rng.choice(image) for _ in ident]
+                out.append([x if x in image else f[x] for x in ident] if kind == 1 else f)
+        return out
+
+    lam = [list(rng.choice(p)) for p in [pool()] for _ in ident]
+    if rng.random() < 0.4:
+        lam = [list(ident) for _ in ident]  # lambda holds, so rho decides
+    rho = [list(rng.choice(p)) for p in [pool()] for _ in ident]
+    inv = [rng.randrange(n) for _ in ident]
+    return SimpleNamespace(order=n, _lam=lam, _rho=rho, mul=SimpleNamespace(inv=tuple(inv)))
+
+
+def test_regularity_matches_the_list_loop(monkeypatch):
+    # every composite is a translate, and the witness is still the first
+    # failure by a, lambda before rho, then sandwich, sandwich_inv, commute
+    rng = random.Random(28)
+    cases = [s for _, s in wbk.catalog_structures()]
+    cases += [exotic(n).as_dual() for n in (8, 24)] + [exotic_chain((6, 2, 2))]
+    real = len(cases)
+    cases += [_map_tables(rng, rng.randint(1, 4)) for _ in range(1500)]
+    for bound in (tables.BYTES_BOUND, 0):
+        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        witnesses = []
+        for s in cases:
+            want = _regularity_oracle(s)
+            assert wbk.check_regularity(s) == want, (bound, s)
+            witnesses.append(want.witness)
+        assert witnesses[:real] == [None] * real
+        seen = {w[:2] for w in witnesses if w is not None}
+        assert seen == set(product(("lambda", "rho"), ("sandwich", "sandwich_inv", "commute")))
+        assert len({w[2] for w in witnesses if w is not None}) == 4
 
 
 def _corrupted(r, rng, entries):
