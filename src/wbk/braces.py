@@ -149,6 +149,28 @@ class DualWeakBrace:
         k = cat([tr(rows[neg[b]], pad(flat[b::n])) for b in range(n)])
         return [list(tr(k[a::n], pad(rows[neg[a]]))) for a in range(n)]
 
+    @cached_property
+    def _ideal_maps(self) -> tuple[list, list, list]:
+        """(maps, add rows, mul rows): the translate tables the ideal laws are
+        read from (see ideals._ideal_holds), in the encoding tables._codec
+        gives the order at first use, each padded.
+
+        maps are the distinct maps among i -> -i, i -> i', and i -> lam_g(i)
+        and i -> g' * i * g for g in mul.gens (row g of * by row -g of +, row
+        g' of * by column g of *), and i -> -g + i + g for g in add.gens (row
+        -g of + by column g of +).  The rows are those of + and *.
+        """
+        n, add, mul = self.order, self.add, self.mul
+        enc, tr, cat, pad = _codec(n)
+        arows, mrows = [enc(row) for row in add.op], [enc(row) for row in mul.op]
+        aflat, mflat = cat(arows), cat(mrows)
+        maps = [enc(add.inv), enc(mul.inv)]
+        for g in mul.gens:
+            maps.append(tr(mrows[g], pad(arows[add.inv[g]])))
+            maps.append(tr(mrows[mul.inv[g]], pad(mflat[g::n])))
+        maps.extend(tr(arows[add.inv[g]], pad(aflat[g::n])) for g in add.gens)
+        return [pad(m) for m in dict.fromkeys(maps)], [pad(r) for r in arows], [pad(r) for r in mrows]
+
     # -- structure-level helpers --------------------------------------------
 
     def is_skew(self) -> bool:

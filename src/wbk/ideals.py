@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 from .braces import DualWeakBrace, validate_dual_weak_brace
 from .compose import decompose
@@ -22,7 +23,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .tables import _centre, _close, _elements, _first_non_hom, _induced, _mask
+from .tables import _centre, _close, _elements, _first_non_hom, _gather, _induced, _mask
 
 DEFAULT_MAX_ORDER = 24
 EXHAUSTIVE_BOUND = 16
@@ -107,7 +108,12 @@ _PASS = Check(True)
 
 def _first_failure(s: DualWeakBrace, x: frozenset, laws) -> tuple[int | None, Check]:
     """The first of laws (indices into _LADDER) that x breaks, with its Check;
-    (None, passing Check) when x satisfies them all."""
+    (None, passing Check) when x satisfies them all.
+
+    Each law is scanned elementwise, O(n·|x|) steps.  It decides the laws
+    short of an ideal; for all five, _ideal_holds decides and this ladder
+    runs only after a rejection, to name the law and its least witness.
+    """
     mem = sorted(x)
     for k in laws:
         bad = _LADDER[k](s, x, mem)
@@ -122,13 +128,50 @@ def _holds(s: DualWeakBrace, x, laws) -> Check:
     return _first_failure(s, x, laws)[1]
 
 
+def _ideal_holds(s: DualWeakBrace, x: frozenset) -> bool:
+    """Whether x is an ideal: E(S) <= x, and x translated by each of
+    s._ideal_maps and by the + and * rows of its members has no byte
+    outside x (one join and one deleting translate; tuples above
+    tables.BYTES_BOUND, checked with issuperset).
+
+    That is the five laws: the rows close x under + and *, two maps close
+    it under - and ', and the rest give lam_g and both conjugations by the
+    generators g.  They are enough: lam_{a*b} = lam_a lam_b, conjugation
+    by a*b is conjugation by a then by b, as (a*b)' = b'*a', and
+    conjugation by a+b is conjugation by a then by b; and every a is a
+    product of generators, but for the identity of a group with none,
+    whose maps are the identity.
+    """
+    if not x.issuperset(s.idempotents):
+        return False
+    maps, adds, muls = s._ideal_maps
+    mem = sorted(x)
+    small = type(maps[0]) is bytes  # the encoding the tables were built in
+    key = bytes(mem) if small else None
+    through = key.translate if small else _gather(mem)
+    rows = chain(map(adds.__getitem__, mem), map(muls.__getitem__, mem))
+    parts = [*map(through, maps), *map(through, rows)]
+    return not b"".join(parts).translate(None, key) if small else x.issuperset(chain.from_iterable(parts))
+
+
+def _ideal_failure(s: DualWeakBrace, x: frozenset, laws=_IDEAL) -> tuple[int | None, Check]:
+    """_first_failure over laws, an order of all five, with _ideal_holds
+    deciding: the ladder runs only after it rejects x."""
+    if _ideal_holds(s, x):
+        return None, _PASS
+    k, bad = _first_failure(s, x, laws)
+    if k is None:
+        raise InternalInvariantBroken("ideal kernel rejects a set the ladder accepts")
+    return k, bad
+
+
 # tier by the first law broken when the ladder runs in the order 0, 2, 1, 3, 4
 _TIERS = {0: "-", 2: "-", 1: "L", 3: "SL", 4: "SL", None: "I"}
 
 
 def _tier(s: DualWeakBrace, x: frozenset) -> str:
     """I (ideal), SL (strong left ideal), L (left ideal) or -, each law run once."""
-    return _TIERS[_first_failure(s, x, (0, 2, 1, 3, 4))[0]]
+    return _TIERS[_ideal_failure(s, x, (0, 2, 1, 3, 4))[0]]
 
 
 def is_full_inverse_subsemigroup_add(s: DualWeakBrace, x: frozenset) -> Check:
@@ -150,7 +193,9 @@ def is_strong_left_ideal(s: DualWeakBrace, x: frozenset) -> Check:
 
 
 def is_ideal(s: DualWeakBrace, x: frozenset) -> Check:
-    return _holds(s, x, _IDEAL)
+    x = frozenset(x)
+    _check_members(s.order, x)
+    return _ideal_failure(s, x)[1]
 
 
 def _require_ideal(s: DualWeakBrace, x) -> None:
@@ -214,11 +259,17 @@ def sum_of_ideals(s: DualWeakBrace, i, j) -> frozenset:
     """{a+b : a in I, b in J}; equals {a*b} and is an ideal again."""
     for part in (i, j):
         _require_ideal(s, part)
+    return _sum_of_ideals(s, i, j, partial(is_ideal, s))
+
+
+def _sum_of_ideals(s: DualWeakBrace, i, j, ideal) -> frozenset:
+    """sum_of_ideals of the ideals i and j, which the caller has checked,
+    with ideal(x) the ideal test of s: a caller can share its verdicts."""
     out = frozenset(s.plus(a, b) for a in i for b in j)
     circ = frozenset(s.times(a, b) for a in i for b in j)
     if out != circ:
         raise InternalInvariantBroken("sum of ideals: {a+b} differs from {a*b}")
-    chk = is_ideal(s, out)
+    chk = ideal(out)
     if not chk:
         raise InternalInvariantBroken(f"sum of ideals is not an ideal: {chk.law} {chk.witness}")
     return out
@@ -232,9 +283,19 @@ class QuotientStructure:
 
 
 def quotient(s: DualWeakBrace, ideal) -> QuotientStructure:
-    """S/I with least-index class representatives."""
+    """S/I with least-index class representatives.
+
+    S/E(S) is S itself, with the identity as projection and representatives:
+    an ideal holds E(S), so one of that size is E(S), and its classes
+    a + E(S) are {a}, as a + e = a for e >= e_a and a + e lies in another
+    component otherwise.  Every other ideal gets its classes, the induced
+    tables, the congruence check and a validated quotient.
+    """
     ideal = frozenset(ideal)
     _require_ideal(s, ideal)
+    if len(ideal) == len(s.idempotents):
+        same = tuple(range(s.order))
+        return QuotientStructure(s, same, same)
     add, mul, comp = s.add.op, s.mul.op, s.component_of
     proj: list[int | None] = [None] * s.order
     reps: list[int] = []
@@ -337,15 +398,19 @@ def first_isomorphism_check(s: DualWeakBrace, t: DualWeakBrace, f) -> bool:
 
 
 def _ideal_images(s: DualWeakBrace) -> list[int]:
-    """Per element i, the bitmask of -i and, over every a, of lam_a(i) and
-    the conjugates -a + i + a and a' * i * a."""
-    add, mul, neg, minv, lam = s.add.op, s.mul.op, s.add.inv, s.mul.inv, s._lam
-    out = []
-    for i in range(s.order):
-        m = 1 << neg[i]
-        for a in range(s.order):
-            m |= 1 << lam[a][i] | 1 << add[add[neg[a]][i]][a] | 1 << mul[mul[minv[a]][i]][a]
-        out.append(m)
+    """Per element i, the bitmask of its images under the maps of
+    s._ideal_maps: -i, i', and lam_g(i) and both conjugates of i by each
+    generator g.  A set holding E(S) and closed under + and these maps is
+    closed under every lam_a and both conjugations by every a (see
+    _ideal_holds), and so under * too: a*b = e_a + a*b = a + lam_a(b), as
+    a*b lies in a component below a's.  So it is an ideal, and closing
+    under them (one pass over the maps, not over every a) reaches the
+    least ideal."""
+    n = s.order
+    out = [0] * n
+    for m in s._ideal_maps[0]:
+        for i, v in enumerate(m[:n]):
+            out[i] |= 1 << v
     return out
 
 
@@ -369,6 +434,38 @@ def _sum_mask(op, i: int, mem: list, j: list) -> int:
     return out
 
 
+def _principal_ideals(add, least: int, gens: list, images) -> list[int]:
+    """P_x, the least ideal holding x, for every x, as bitmasks; least is the
+    least ideal and gens its generator list (see _close).
+
+    x + x lies in P_x, so P_{x+x} <= P_x, and P_x is the closure of
+    P_{x+x} and x; when x lies in P_{x+x} the two are equal.  From each x
+    the walk x, 2x, 4x, ... stops at an element z whose P is known, one in
+    the least ideal (P_z is least) or a repeat (built from least).  Then
+    the path closes back from its end, each P_w from done = P_{2w} and its
+    generators, or P_w = P_{2w} when w is already in it.
+    """
+    n = len(add)
+    known: list = [(least, gens) if least >> z & 1 else None for z in range(n)]  # (P_z, its generators)
+    for x in range(n):
+        path, z = [], x
+        while known[z] is None and z not in path:
+            path.append(z)
+            z = add[z][z]
+        if known[z] is None:  # z repeats
+            g = list(gens)
+            known[z] = (_close(add, least | 1 << z, images, least, g), g)
+        for w in reversed(path):
+            if known[w] is None:
+                done, dgens = known[add[w][w]]
+                if done >> w & 1:
+                    known[w] = (done, dgens)
+                else:
+                    g = list(dgens)
+                    known[w] = (_close(add, done | 1 << w, images, done, g), g)
+    return [p for p, _ in known]
+
+
 @dataclass(frozen=True)
 class IdealEnumeration:
     ideals: tuple[frozenset, ...]
@@ -379,16 +476,15 @@ def enumerate_ideals(s: DualWeakBrace) -> IdealEnumeration:
     """All two-sided ideals, as frozensets listed by size, then members.
 
     Both searches run on bitmasks and take one step: the join I + P_x of an
-    ideal I with the principal ideal P_x of x, closed once per x under +, -,
-    lambda and both conjugations.  A sum of ideals, it is the least ideal
-    holding I and x: a = a + e_a with e_a in E(S) <= P_x, x = e_x + x with
-    e_x in I.
+    ideal I with the principal ideal P_x of x, built once per x on P_{x+x}
+    (_principal_ideals).  A sum of ideals, it is the least ideal holding I
+    and x: a = a + e_a with e_a in E(S) <= P_x, x = e_x + x with e_x in I.
     The order picks the search: up to EXHAUSTIVE_BOUND (16), a depth-first
     search that includes or excludes each element in index order, cutting a
     branch once a join takes in an excluded element; above it, a
     breadth-first search from the least ideal over the joins with each
-    distinct P_x.  Every candidate must pass the full ideal test; one that
-    fails raises InternalInvariantBroken.
+    distinct P_x.  Every candidate must pass the full ideal test, which
+    _ideal_holds decides; one that fails raises InternalInvariantBroken.
     """
     bound = max_order()
     if s.order > bound:
@@ -398,7 +494,7 @@ def enumerate_ideals(s: DualWeakBrace) -> IdealEnumeration:
     images = _ideal_images(s)
     gens: list[int] = []
     least = _close(add, _mask(s.idempotents), images, gens=gens)
-    principal = [_close(add, least | 1 << x, images, least, list(gens)) for x in range(n)]
+    principal = _principal_ideals(add, least, gens, images)
     members = {p: _elements(p) for p in principal}
     if mode == "exhaustive":
         masks = []
@@ -430,7 +526,7 @@ def enumerate_ideals(s: DualWeakBrace) -> IdealEnumeration:
                         seen.add(j)
                         masks.append(j)
     found = sorted((frozenset(_elements(m)) for m in masks), key=lambda x: (len(x), sorted(x)))
-    if any(_first_failure(s, ideal, _IDEAL)[0] is not None for ideal in found):
+    if any(_ideal_failure(s, ideal)[0] is not None for ideal in found):
         raise InternalInvariantBroken(f"{mode} candidate is not an ideal")
     return IdealEnumeration(tuple(found), mode)
 

@@ -16,6 +16,7 @@ from .compose import decompose
 from .errors import InternalInvariantBroken, NotAnnihilatorSeries
 from .ideals import (
     _require_ideal,
+    _sum_of_ideals,
     annihilator,
     commutator_set,
     generated_full_inverse_subsemigroup,
@@ -23,7 +24,6 @@ from .ideals import (
     product_set,
     quotient,
     socle,
-    sum_of_ideals,
 )
 
 
@@ -145,7 +145,10 @@ def verify_sandwich(s: DualWeakBrace, chain) -> SandwichReport:
 
 def _verify_sandwich(s: DualWeakBrace, chain, ann: SeriesReport, quotients) -> SandwichReport:
     """verify_sandwich against ann, the annihilator series of s, on the
-    _quotients(s) memo that built it."""
+    _quotients(s) memo that built it.  Each distinct set is tested for an
+    ideal once: the chain's members here, and the sums of its pairs (each
+    a member again) through the same memo."""
+    ideal = cache(partial(is_ideal, s))
     chain = tuple(frozenset(x) for x in chain)
     full = frozenset(range(s.order))
     target = frozenset(s.idempotents)
@@ -154,7 +157,7 @@ def _verify_sandwich(s: DualWeakBrace, chain, ann: SeriesReport, quotients) -> S
     if chain[-1] != full:
         raise NotAnnihilatorSeries(len(chain) - 1, ("must_end_at_full_set",))
     for j, member in enumerate(chain):
-        chk = is_ideal(s, member)
+        chk = ideal(member)
         if not chk:
             raise NotAnnihilatorSeries(j, (chk.law, chk.witness))
         if j and not chain[j - 1] <= member:
@@ -185,7 +188,7 @@ def _verify_sandwich(s: DualWeakBrace, chain, ann: SeriesReport, quotients) -> S
             raise InternalInvariantBroken("one-step gamma containment fails")
     for i in range(k + 1):
         for j in range(k + 1):
-            lhs = step(sum_of_ideals(s, chain[i], chain[j]))
+            lhs = step(_sum_of_ideals(s, chain[i], chain[j], ideal))
             rhs = frozenset(s.plus(a, b) for a in step(chain[i]) for b in step(chain[j]))
             if lhs != rhs:
                 raise InternalInvariantBroken("gamma of a sum differs from sum of gammas")

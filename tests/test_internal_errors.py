@@ -103,7 +103,7 @@ def _sandwich_one_step(mp, tmp_path):
 
 
 def _sandwich_sum(mp, tmp_path):
-    mp.setattr(mod("series"), "sum_of_ideals", lambda s, i, j: _full(s))
+    mp.setattr(mod("series"), "_sum_of_ideals", lambda s, i, j, ideal: _full(s))
     return ["sandwich", *_exotic_4(tmp_path)]
 
 
@@ -139,10 +139,10 @@ def _sum_plus_times(mp, tmp_path):
 
 
 def _sum_not_ideal(mp, tmp_path):
-    # the ideal test fails everywhere, so the summands are not checked
-    for name in ("ideals", "series"):
-        mp.setattr(mod(name), "_require_ideal", lambda s, x: None)
-    mp.setattr(mod("ideals"), "is_ideal", lambda s, x: Check(False, "not_closed", (0, 0)))
+    # every sum, on either side, is {1}, which misses the idempotent 0; the
+    # chain's members keep their real test
+    for name in ("plus", "times"):
+        mp.setattr(wbk.DualWeakBrace, name, lambda self, a, b: 1)
     return ["sandwich", "--catalog", "c6_trivial"]
 
 
@@ -154,6 +154,12 @@ def _quotient_congruence(mp, tmp_path):
 def _quotient_separating(mp, tmp_path):
     mp.setattr(mod("ideals"), "validate_dual_weak_brace", lambda add, mul: catalog_get("z6_exotic").as_dual())
     return ["quotient", "--catalog", "c3_sym3", "--members", ",".join(map(str, range(9)))]
+
+
+def _ideal_kernel_reject(mp, tmp_path):
+    # {0, 3} is not an ideal of Z6 exotic; the ladder is made to find nothing
+    mp.setattr(mod("ideals"), "_first_failure", lambda s, x, laws: (None, Check(True)))
+    return ["quotient", "--catalog", "z6_exotic", "--members", "0,3"]
 
 
 def _enumerate_candidate(mp, tmp_path):
@@ -245,9 +251,10 @@ CLI_CASES = [
     ("series", _classify_maximum, "socle index is not the component maximum"),
     ("series", _classify_assemble, "component socle indices do not assemble"),
     ("ideals", _sum_plus_times, "sum of ideals: {a+b} differs from {a*b}"),
-    ("ideals", _sum_not_ideal, "sum of ideals is not an ideal: not_closed (0, 0)"),
+    ("ideals", _sum_not_ideal, "sum of ideals is not an ideal: missing_idempotent (0,)"),
     ("ideals", _quotient_congruence, "relation is not a congruence for this subset"),
     ("ideals", _quotient_separating, "quotient congruence is not idempotent separating"),
+    ("ideals", _ideal_kernel_reject, "ideal kernel rejects a set the ladder accepts"),
     ("ideals", _enumerate_candidate, "exhaustive candidate is not an ideal"),
     ("compose", _compose_idempotent_count, "composed structure has wrong idempotent count"),
     ("compose", _compose_semilattice, "composed idempotents do not reproduce the semilattice"),
