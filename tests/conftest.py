@@ -93,3 +93,22 @@ def non_chain():
     y = [[0, 2, 2], [2, 1, 2], [2, 2, 2]]
     c2, c4 = wbk.catalog_get("c2_trivial"), wbk.catalog_get("c4_trivial")
     return wbk.compose(wbk.validate_spec(y, [c2, c2, c4], {(0, 2): (0, 2), (1, 2): (0, 2)}))
+
+
+def elementary(k):
+    """The trivial brace on (Z2)^k, xor on k bits, as a dual weak brace."""
+    table = [[a ^ b for b in range(1 << k)] for a in range(1 << k)]
+    return wbk.validate_skew_brace(table, table).as_dual()
+
+
+def sym3_cyclic():
+    """(S, +) = sym3 and (S, ∘) cyclic of order 6: a∘b = a + (-t + b + t)
+    with t = 1 for the transpositions a in {1, 2, 5}, a + b otherwise.
+
+    {0, 1} is lambda-invariant and a normal subgroup of (S, ∘), but not
+    normal in (S, +); only the + conjugates -a + i + a tell it apart."""
+    mul = [
+        [0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 1, 0],
+        [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 0, 1, 2, 3],
+    ]
+    return wbk.validate_skew_brace(wbk.catalog_get("sym3").op, mul).as_dual()

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from conftest import exotic, exotic_chain, non_chain
+from conftest import elementary, exotic, exotic_chain, non_chain, sym3_cyclic
 
 import wbk
 from wbk import ideals, tables
@@ -21,21 +21,6 @@ from wbk.ideals import _IDEAL, _TIERS, _first_failure, _ideal_holds, _tier
 from wbk.tables import _close, _elements, _induced, _mask
 
 CHAINS = ((4, 2), (8, 4, 2), (12, 6, 2), (8, 8), (4, 4, 4), (6, 2))
-
-
-def _elementary(k):
-    table = [[a ^ b for b in range(1 << k)] for a in range(1 << k)]
-    return wbk.validate_skew_brace(table, table).as_dual()
-
-
-def _sym3_cyclic():
-    """(S, +) = sym3, (S, ∘) cyclic: {0, 1} is lambda-invariant and normal in
-    (S, ∘) but not normal in (S, +) (see test_ideals)."""
-    mul = [
-        [0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 1, 0],
-        [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 0, 1, 2, 3],
-    ]
-    return wbk.validate_skew_brace(wbk.catalog_get("sym3").op, mul).as_dual()
 
 
 def _klein_cyclic():
@@ -65,8 +50,8 @@ def _structures():
     base = [(name, replace(s)) for name, s in wbk.catalog_structures()]
     base += [(f"exotic Z{n}", exotic(n).as_dual()) for n in range(2, 25, 2)]
     base += [(f"chain {c}", exotic_chain(c)) for c in CHAINS]
-    base += [(f"(Z2)^{k}", _elementary(k)) for k in range(1, 5)]
-    base += [("non-chain", non_chain()), ("sym3 + / Z6 ∘", _sym3_cyclic())]
+    base += [(f"(Z2)^{k}", elementary(k)) for k in range(1, 5)]
+    base += [("non-chain", non_chain()), ("sym3 + / Z6 ∘", sym3_cyclic())]
     base += [("klein4 + / Z4 ∘", _klein_cyclic()), ("lambda only", _lambda_only())]
     return base + [(name + " opposite", s.opposite()) for name, s in base]
 

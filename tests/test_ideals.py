@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from conftest import enumerate_by, exotic, exotic_chain, non_chain
+from conftest import elementary, enumerate_by, exotic, exotic_chain, non_chain, sym3_cyclic
 
 import wbk
 from wbk import InternalInvariantBroken, NotAHom, NotAnIdeal, OrderTooLarge, ideals
@@ -190,21 +190,8 @@ def test_post_check_catches_a_broken_image_table(monkeypatch, z6):
             enumerate_by(monkeypatch, z6, mode)
 
 
-def _sym3_cyclic():
-    """(S, +) = sym3 and (S, ∘) cyclic of order 6: a∘b = a + (-t + b + t)
-    with t = 1 for the transpositions a in {1, 2, 5}, a + b otherwise.
-
-    {0, 1} is lambda-invariant and a normal subgroup of (S, ∘), but not
-    normal in (S, +); only the + conjugates -a + i + a tell it apart."""
-    mul = [
-        [0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 1, 0],
-        [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 0, 1, 2, 3],
-    ]
-    return wbk.validate_skew_brace(wbk.catalog_get("sym3").op, mul).as_dual()
-
-
 def test_ideal_images_need_the_add_conjugate(monkeypatch):
-    s = _sym3_cyclic()
+    s = sym3_cyclic()
     x = frozenset({0, 1})
     assert wbk.is_left_ideal(s, x) and is_normal_subsemigroup(s, x, "mul")
     chk = wbk.is_ideal(s, x)
@@ -233,7 +220,7 @@ def test_quotient_classes_match_the_definition(all_structures):
     cases = list(all_structures)
     cases += [(name + " opposite", s.opposite()) for name, s in all_structures]
     cases += [("chain (12, 6, 2)", exotic_chain((12, 6, 2))), ("non-chain", non_chain())]
-    cases += [("sym3 + / Z6 ∘", _sym3_cyclic())]
+    cases += [("sym3 + / Z6 ∘", sym3_cyclic())]
     built = 0
     for name, s in cases:
         for ideal in wbk.enumerate_ideals(s).ideals:
@@ -255,7 +242,7 @@ def test_special_sets_and_commutation_match_their_definitions(all_structures):
     cases = list(all_structures)
     cases += [(name + " opposite", s.opposite()) for name, s in all_structures]
     cases += [(f"exotic Z{n}", exotic(n).as_dual()) for n in range(2, 17, 2)]
-    cases += [("(Z2)^3", _elementary(3)), ("non-chain", non_chain())]
+    cases += [("(Z2)^3", elementary(3)), ("non-chain", non_chain())]
     cases += [(f"chain {c}", exotic_chain(c)) for c in ((6, 2, 2), (12, 6, 2), (8, 4, 4, 2))]
     for name, s in cases:
         el = range(s.order)
@@ -349,10 +336,6 @@ def _cyclic(n):
     return _trivial([[(a + b) % n for b in range(n)] for a in range(n)])
 
 
-def _elementary(k):
-    return _trivial([[a ^ b for b in range(1 << k)] for a in range(1 << k)])
-
-
 def _divisor_chains(total):
     """Every chain of even orders, each dividing the one above, with at least
     two components and at most total elements."""
@@ -371,8 +354,8 @@ def test_enumerate_ideals_matches_subset_oracle(all_structures, monkeypatch):
     cases += [(f"exotic Z{n}", exotic(n).as_dual()) for n in range(2, 13, 2)]
     cases += [(f"Z{n}", _cyclic(n)) for n in range(1, 13)]
     cases += [(f"chain {c}", exotic_chain(c)) for c in _divisor_chains(12)]
-    cases += [("(Z2)^3", _elementary(3)), ("(Z2)^4", _elementary(4))]
-    cases += [("exotic Z16", exotic(16).as_dual()), ("sym3 + / Z6 ∘", _sym3_cyclic())]
+    cases += [("(Z2)^3", elementary(3)), ("(Z2)^4", elementary(4))]
+    cases += [("exotic Z16", exotic(16).as_dual()), ("sym3 + / Z6 ∘", sym3_cyclic())]
     for name, s in cases:
         want = _by_size(_passing_supersets(s, wbk.is_ideal))
         for mode in ("exhaustive", "closure"):
@@ -417,7 +400,7 @@ def test_both_searches_agree_above_the_exhaustive_bound(monkeypatch):
     cases = [(f"exotic Z{n}", exotic(n).as_dual(), _cyclic_ideals) for n in range(18, 25, 2)]
     cases += [(f"Z{n}", _cyclic(n), _cyclic_ideals) for n in range(17, 25)]
     cases += [("chain (12, 6, 2)", exotic_chain((12, 6, 2)), _ideals_from_components)]
-    cases += [("(Z2)^5", _elementary(5), None)]
+    cases += [("(Z2)^5", elementary(5), None)]
     for name, s, oracle in cases:
         assert s.order > 16, name
         found = enumerate_by(monkeypatch, s, "exhaustive").ideals
@@ -431,7 +414,7 @@ def test_both_searches_count_the_subgroups_of_elementary_abelian_groups(monkeypa
     # Gaussian binomials [k, d]_2 summed over d
     monkeypatch.setenv("WBK_MAX_ORDER", "64")
     for k, want in ((4, 67), (5, 374), (6, 2825)):
-        s = _elementary(k)
+        s = elementary(k)
         for search in ("exhaustive", "closure"):
             found = enumerate_by(monkeypatch, s, search).ideals
             assert len(set(found)) == len(found) == want, (k, search)
@@ -442,7 +425,7 @@ def test_join_with_a_principal_ideal_is_the_closure_step(all_structures):
     # under + and the ideal images: the least ideal holding both
     cases = list(all_structures) + [(name + " opposite", s.opposite()) for name, s in all_structures]
     cases += [(f"exotic Z{n}", exotic(n).as_dual()) for n in range(2, 17, 2)]
-    cases += [("(Z2)^4", _elementary(4))]
+    cases += [("(Z2)^4", elementary(4))]
     steps = 0
     for name, s in cases:
         add, images = s.add.op, ideals._ideal_images(s)
@@ -503,7 +486,7 @@ def test_predicates_follow_the_law_ladder(all_structures):
     # subgroup can fail + normality and lambda invariance at once
     structures = list(all_structures)
     structures += [(name + " opposite", s.opposite()) for name, s in all_structures]
-    structures += [("sym3 + / Z6 ∘", _sym3_cyclic())]
+    structures += [("sym3 + / Z6 ∘", sym3_cyclic())]
     checked = 0
     for name, s in structures:
         if s.order <= 6:
