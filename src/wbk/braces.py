@@ -150,26 +150,26 @@ class DualWeakBrace:
         return [list(tr(k[a::n], pad(rows[neg[a]]))) for a in range(n)]
 
     @cached_property
-    def _ideal_maps(self) -> tuple[list, list, list]:
-        """(maps, add rows, mul rows): the translate tables the ideal laws are
-        read from (see ideals._ideal_holds), in the encoding tables._codec
-        gives the order at first use, each padded.
+    def _ideal_maps(self) -> tuple[list, list]:
+        """(maps, add rows): the translate tables the ideal laws are read
+        from (see ideals._ideal_holds), in the encoding tables._codec gives
+        the order at first use, each padded.
 
-        maps are the distinct maps among i -> -i, i -> i', and i -> lam_g(i)
-        and i -> g' * i * g for g in mul.gens (row g of * by row -g of +, row
-        g' of * by column g of *), and i -> -g + i + g for g in add.gens (row
-        -g of + by column g of +).  The rows are those of + and *.
+        maps are the distinct maps among i -> -i, i -> lam_g(i) and
+        i -> g' * i * g for g in mul.gens (row g of * by row -g of +, row
+        g' of * by column g of *), and i -> -g + i + g for g in add.gens
+        (row -g of + by column g of +).  The rows are those of +.
         """
         n, add, mul = self.order, self.add, self.mul
         enc, tr, cat, pad = _codec(n)
         arows, mrows = [enc(row) for row in add.op], [enc(row) for row in mul.op]
         aflat, mflat = cat(arows), cat(mrows)
-        maps = [enc(add.inv), enc(mul.inv)]
+        maps = [enc(add.inv)]
         for g in mul.gens:
             maps.append(tr(mrows[g], pad(arows[add.inv[g]])))
             maps.append(tr(mrows[mul.inv[g]], pad(mflat[g::n])))
         maps.extend(tr(arows[add.inv[g]], pad(aflat[g::n])) for g in add.gens)
-        return [pad(m) for m in dict.fromkeys(maps)], [pad(r) for r in arows], [pad(r) for r in mrows]
+        return [pad(m) for m in dict.fromkeys(maps)], [pad(r) for r in arows]
 
     # -- structure-level helpers --------------------------------------------
 
@@ -239,9 +239,13 @@ def _check_compatibility(add: CliffordTable, mul: CliffordTable) -> None:
 
 
 def _validate_sides(validate, add_raw, mul_raw) -> tuple:
-    """Validate each table, tagging a failure with the side it came from."""
+    """Validate each table, tagging a failure with the side it came from.
+    A mul table with the entries of add, of the same types (1.0 and True
+    are not 1), is not validated again: both sides get the one object."""
     out = []
     for side, raw in (("add", add_raw), ("mul", mul_raw)):
+        if out and raw == add_raw and [[*map(type, r)] for r in raw] == [[*map(type, r)] for r in add_raw]:
+            return out[0], out[0]
         try:
             out.append(validate(raw))
         except ValidationError as err:

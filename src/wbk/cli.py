@@ -206,12 +206,7 @@ def _cmd_decompose(args) -> Report:
 
 def _cmd_solve(args) -> Report:
     r = _as_solution(_load_one(args))
-    rows = [
-        f"{a} {b} -> {u} {v}"
-        for a in range(r.order)
-        for b in range(r.order)
-        for u, v in [r.apply(a, b)]
-    ]
+    rows = [f"{a} {b} -> {u} {v}" for a in range(r.order) for b, u, v in zip(range(r.order), r.lam[a], r.rho[a])]
     lines = [f"order: {r.order}", *_limit(rows, args)]
     return Report("solve", "pass", lines, [to_obj(r)])
 

@@ -66,8 +66,8 @@ def compose(spec: StrongSemilatticeSpec) -> DualWeakBrace:
     """Glue the components into one dual weak brace on the disjoint union."""
     comps = spec.braces
     orders = [c.order for c in comps]
-    add = _glue(spec.y, orders, spec.homs, lambda off, g, i, j: off + comps[g].add.op[i][j])
-    mul = _glue(spec.y, orders, spec.homs, lambda off, g, i, j: off + comps[g].mul.op[i][j])
+    add = _glue(spec.y, orders, spec.homs, [c.add.op for c in comps])
+    mul = _glue(spec.y, orders, spec.homs, [c.mul.op for c in comps])
     s = validate_dual_weak_brace(add, mul)
     if len(s.idempotents) != spec.y.size:
         raise InternalInvariantBroken("composed structure has wrong idempotent count")

@@ -130,27 +130,31 @@ def _holds(s: DualWeakBrace, x, laws) -> Check:
 
 def _ideal_holds(s: DualWeakBrace, x: frozenset) -> bool:
     """Whether x is an ideal: E(S) <= x, and x translated by each of
-    s._ideal_maps and by the + and * rows of its members has no byte
-    outside x (one join and one deleting translate; tuples above
-    tables.BYTES_BOUND, checked with issuperset).
+    s._ideal_maps and by the + rows of its members has no byte outside x
+    (one join and one deleting translate; tuples above tables.BYTES_BOUND,
+    checked with issuperset).
 
-    That is the five laws: the rows close x under + and *, two maps close
-    it under - and ', and the rest give lam_g and both conjugations by the
-    generators g.  They are enough: lam_{a*b} = lam_a lam_b, conjugation
+    The rows close x under + and one map under -; the rest give lam_g and
+    both conjugations by the generators g.  They are enough for every lam_a
+    and both conjugations by every a: lam_{a*b} = lam_a lam_b, conjugation
     by a*b is conjugation by a then by b, as (a*b)' = b'*a', and
     conjugation by a+b is conjugation by a then by b; and every a is a
     product of generators, but for the identity of a group with none,
-    whose maps are the identity.
+    whose maps are the identity.  The other laws follow, for a
+    and i in x:
+    - a*i = e_a + a*i = a + lam_a(i), as a*i lies in a component below
+      a's (see _ideal_images), so x is closed under *;
+    - a' = lam_{a'}(-a), as lam_a(a') = -a + e_a = -a and
+      lam_{a'} lam_a = lam_{e_a} fixes a', so x is closed under '.
     """
     if not x.issuperset(s.idempotents):
         return False
-    maps, adds, muls = s._ideal_maps
+    maps, adds = s._ideal_maps
     mem = sorted(x)
     small = type(maps[0]) is bytes  # the encoding the tables were built in
     key = bytes(mem) if small else None
     through = key.translate if small else _gather(mem)
-    rows = chain(map(adds.__getitem__, mem), map(muls.__getitem__, mem))
-    parts = [*map(through, maps), *map(through, rows)]
+    parts = [*map(through, maps), *map(through, map(adds.__getitem__, mem))]
     return not b"".join(parts).translate(None, key) if small else x.issuperset(chain.from_iterable(parts))
 
 
@@ -399,11 +403,11 @@ def first_isomorphism_check(s: DualWeakBrace, t: DualWeakBrace, f) -> bool:
 
 def _ideal_images(s: DualWeakBrace) -> list[int]:
     """Per element i, the bitmask of its images under the maps of
-    s._ideal_maps: -i, i', and lam_g(i) and both conjugates of i by each
+    s._ideal_maps: -i, lam_g(i) and both conjugates of i by each
     generator g.  A set holding E(S) and closed under + and these maps is
-    closed under every lam_a and both conjugations by every a (see
-    _ideal_holds), and so under * too: a*b = e_a + a*b = a + lam_a(b), as
-    a*b lies in a component below a's.  So it is an ideal, and closing
+    closed under every lam_a and both conjugations by every a, and so
+    under * and ' too (see _ideal_holds): a*b = e_a + a*b = a + lam_a(b),
+    as a*b lies in a component below a's.  So it is an ideal, and closing
     under them (one pass over the maps, not over every a) reaches the
     least ideal."""
     n = s.order

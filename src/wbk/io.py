@@ -13,7 +13,7 @@ from .braces import DualWeakBrace, SkewBrace, validate_dual_weak_brace, validate
 from .catalog import catalog_get
 from .compose import StrongSemilatticeSpec, validate_spec
 from .errors import ParseError
-from .solutions import SolutionTable
+from .solutions import SolutionTable, solution_table
 from .tables import (
     FiniteGroupTable,
     SemilatticeTable,
@@ -47,7 +47,7 @@ def to_obj(x) -> dict:
         return {
             "kind": "solution",
             "order": x.order,
-            "map": [[list(p) for p in row] for row in x.pairs],
+            "map": [[[u, v] for u, v in zip(us, vs)] for us, vs in zip(x.lam, x.rho)],
         }
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
@@ -127,11 +127,9 @@ def from_obj(obj) -> object:
         table = _table(obj, "map")
         if type(order) is not int or len(table) != order:
             raise ParseError("solution table does not match its declared order")
-        pairs = []
         for row in table:
             if len(row) != order:
                 raise ParseError("solution table is not square")
-            out = []
             for p in row:
                 if (
                     not isinstance(p, (list, tuple))
@@ -139,9 +137,7 @@ def from_obj(obj) -> object:
                     or not all(type(v) is int and 0 <= v < order for v in p)
                 ):
                     raise ParseError("solution entries must be pairs of indices")
-                out.append((p[0], p[1]))
-            pairs.append(tuple(out))
-        return SolutionTable(order, tuple(pairs))
+        return solution_table(order, lambda a, b: table[a][b])
     raise ParseError(f"unknown kind {kind!r}")
 
 

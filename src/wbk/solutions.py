@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 from operator import getitem
 
@@ -20,22 +21,27 @@ from .tables import SemilatticeTable, _codec, _first_non_hom, _gather, _glue, _l
 
 @dataclass(frozen=True)
 class SolutionTable:
+    """r(x, y) = (lam[x][y], rho[x][y]), two tables of tuple rows.  For a
+    dual weak brace lam[x] is λ_x and rho[x][y] = ρ_y(x): rho is the
+    transpose of DualWeakBrace._rho, whose row y is ρ_y."""
+
     order: int
-    pairs: tuple[tuple[tuple[int, int], ...], ...]
+    lam: tuple[tuple[int, ...], ...]
+    rho: tuple[tuple[int, ...], ...]
 
     def apply(self, a: int, b: int) -> tuple[int, int]:
-        return self.pairs[a][b]
+        return self.lam[a][b], self.rho[a][b]
 
 
 def solution_table(order: int, fn) -> SolutionTable:
-    return SolutionTable(
-        order, tuple(tuple(fn(a, b) for b in range(order)) for a in range(order))
-    )
+    """The solution r(a, b) = fn(a, b), fn giving a pair per cell."""
+    cells = [[fn(a, b) for b in range(order)] for a in range(order)]
+    return SolutionTable(order, *(tuple(tuple(p[k] for p in row) for row in cells) for k in (0, 1)))
 
 
 def solution_of(s: DualWeakBrace) -> SolutionTable:
-    """r(a, b) = (lam_a(b), rho_b(a)): row a pairs lam row a with rho column a."""
-    return SolutionTable(s.order, tuple(tuple(zip(lr, rc)) for lr, rc in zip(s._lam, zip(*s._rho))))
+    """r(a, b) = (lam_a(b), rho_b(a)): the rows of lam and the columns of rho."""
+    return SolutionTable(s.order, tuple(map(tuple, s._lam)), tuple(zip(*s._rho)))
 
 
 def identity_solution(n: int) -> SolutionTable:
@@ -43,20 +49,12 @@ def identity_solution(n: int) -> SolutionTable:
 
 
 def compose_solutions(r2: SolutionTable, r1: SolutionTable) -> SolutionTable:
-    """(r2 after r1) as maps on pairs."""
-    p = r2.pairs
-    return SolutionTable(r1.order, tuple(tuple(p[u][v] for u, v in row) for row in r1.pairs))
+    """(r2 after r1) as maps on pairs: each table of r2 read at the pairs r1 gives."""
 
+    def through(tab) -> tuple:
+        return tuple(tuple(map(getitem, map(tab.__getitem__, us), vs)) for us, vs in zip(r1.lam, r1.rho))
 
-def _split(r: SolutionTable) -> tuple[list, list]:
-    """The tables L and R of r(x, y) = (L[x][y], R[x][y]), as tuple rows:
-    each row of pairs is unzipped once."""
-    lam, rho = [], []
-    for row in r.pairs:
-        u, v = zip(*row)
-        lam.append(u)
-        rho.append(v)
-    return lam, rho
+    return SolutionTable(r1.order, through(r2.lam), through(r2.rho))
 
 
 def _representatives(own, other) -> list[int]:
@@ -148,14 +146,13 @@ def check_braid(r: SolutionTable) -> tuple[int, int, int] | None:
     (L[u][L[v][c]], R[u][L[v][c]], R[v][c]) and the right side, with
     q = R[a][L[b][c]], is (L[a][L[b][c]], L[q][R[b][c]], R[q][R[b][c]]).
     """
-    n = r.order
-    lam, rho = _split(r)
+    n, lam, rho = r.order, r.lam, r.rho
     if _braid_holds(lam, rho):
         return None
     after = [_gather(row) for row in lam]  # after[y](f) = c -> f[L[y][c]]
 
     def rows(a: int, b: int) -> tuple:
-        u, v = r.pairs[a][b]
+        u, v = lam[a][b], rho[a][b]
         q = _gather(after[b](rho[a]))  # q(rows) = c -> rows[R[a][L[b][c]]]
         lhs = (after[v](lam[u]), after[v](rho[u]), rho[v])
         rhs = (
@@ -172,7 +169,7 @@ def check_braid(r: SolutionTable) -> tuple[int, int, int] | None:
 
 
 def is_bijective(r: SolutionTable) -> bool:
-    return len({p for row in r.pairs for p in row}) == r.order * r.order
+    return len(set(zip(chain.from_iterable(r.lam), chain.from_iterable(r.rho)))) == r.order * r.order
 
 
 @dataclass(frozen=True)
@@ -253,9 +250,10 @@ def period(r: SolutionTable) -> int:
     walked once.  Both take O(n²) steps, whatever the period.
     """
     n = r.order
-    succ = [u * n + v for row in r.pairs for u, v in row]
+    succ = [u * n + v for u, v in zip(chain.from_iterable(r.lam), chain.from_iterable(r.rho))]
     indeg = Counter(succ)  # per pair, its preimages not yet peeled off
-    layer, tail = set(range(n * n)).difference(indeg), 0
+    # the pairs without a preimage: a bijective r has none, and skips the set
+    layer, tail = set(range(n * n)).difference(indeg) if len(indeg) < n * n else (), 0
     while layer:
         tail += 1
         nxt = []
@@ -287,22 +285,18 @@ def strong_semilattice_of_solutions(
     maps: (alpha, beta) -> image tuple for alpha > beta.  The maps are
     checked like the connecting homs of a strong semilattice of skew braces:
     per comparable pair presence, shape, then equivariance; then maps for no
-    comparable pair (unexpected_hom); then transitive composition.
+    comparable pair (unexpected_hom); then transitive composition.  L and
+    R are glued by tables._glue, as compose glues + and *.
     """
-    split = [_split(r) for r in solutions]
 
     def equivariant(alpha: int, beta: int, f) -> None:
         # f carries r_alpha to r_beta exactly when it carries both L and R
-        bad = _first_non_hom(f, tuple(zip(split[alpha], split[beta])))
+        ra, rb = solutions[alpha], solutions[beta]
+        bad = _first_non_hom(f, ((ra.lam, rb.lam), (ra.rho, rb.rho)))
         if bad is not None:
             raise ValidationError("equivariance", (alpha, beta, *bad[:2]))
 
     orders = [r.order for r in solutions]
     homs = _validate_hom_system(y, orders, maps, equivariant)
-
-    def cell(off: int, gamma: int, i: int, j: int) -> tuple[int, int]:
-        u, v = solutions[gamma].pairs[i][j]
-        return (off + u, off + v)
-
-    rows = _glue(y, orders, homs, cell)
-    return SolutionTable(len(rows), tuple(tuple(row) for row in rows))
+    lam = _glue(y, orders, homs, [r.lam for r in solutions])
+    return SolutionTable(len(lam), lam, _glue(y, orders, homs, [r.rho for r in solutions]))

@@ -222,13 +222,13 @@ def _validate_hom_system(y: SemilatticeTable, orders, maps, check_pair) -> dict:
     return homs
 
 
-def _glue(y: SemilatticeTable, orders, homs: dict, cell) -> list[list]:
+def _glue(y: SemilatticeTable, orders, homs: dict, tables) -> tuple[tuple[int, ...], ...]:
     """Table of the strong semilattice on the disjoint union of components.
 
     Global element order is (y-index, local index).  The entry for a in
-    component alpha and b in component beta is cell(off, gamma, i, j), with
-    gamma = alpha meet beta, off its first global index, and i, j the local
-    indices of a and b mapped down into gamma along homs.
+    component alpha and b in component beta is off + tables[gamma][i][j],
+    with gamma = alpha meet beta, off its first global index, and i, j the
+    local indices of a and b mapped down into gamma along homs.
     """
     offs, owner = [], []
     for alpha, m in enumerate(orders):
@@ -242,9 +242,9 @@ def _glue(y: SemilatticeTable, orders, homs: dict, cell) -> list[list]:
             gamma = meet[beta]
             gi = i if gamma == alpha else homs[(alpha, gamma)][i]
             gj = j if gamma == beta else homs[(beta, gamma)][j]
-            row.append(cell(offs[gamma], gamma, gi, gj))
-        rows.append(row)
-    return rows
+            row.append(offs[gamma] + tables[gamma][gi][gj])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _first_non_hom(f, pairs) -> tuple[int, int, int] | None:

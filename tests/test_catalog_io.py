@@ -7,6 +7,7 @@ import pytest
 import wbk
 from wbk import ParseError, UnknownName
 from wbk.cli import main
+from wbk.solutions import is_bijective
 
 
 def test_catalog_list_shape():
@@ -68,9 +69,16 @@ def test_round_trip_spec(tmp_path):
     assert set(obj["homs"]) == {"0>1"}
 
 
-def test_round_trip_solution(tmp_path, z6):
-    s = wbk.solution_of(z6)
-    assert round_trip(s, tmp_path) == s
+def test_round_trip_solution(tmp_path, z6, c3_sym3, c2_c4):
+    # brace and glued solutions, a table that is not bijective, the identity
+    flat = wbk.solution_table(3, lambda a, b: (a * b % 3, 0))
+    for r in (*map(wbk.solution_of, (z6, c3_sym3, c2_c4)), flat, wbk.identity_solution(5)):
+        text = wbk.dumps(r)
+        assert round_trip(r, tmp_path) == r
+        assert wbk.dumps(wbk.load(str(tmp_path / "obj.json"))) == text
+        cells = json.loads(text)["map"]
+        assert all(tuple(cells[a][b]) == r.apply(a, b) for a in range(r.order) for b in range(r.order))
+    assert not is_bijective(flat)
 
 
 def test_dumps_is_canonical(z6):

@@ -11,7 +11,7 @@ import pytest
 from conftest import exotic, exotic_chain, non_chain, relabelled_table
 
 import wbk
-from wbk import ValidationError, load, to_obj
+from wbk import ValidationError, braces, load, to_obj
 from wbk.cli import main
 
 CHAIN2 = [[0, 1], [1, 1]]
@@ -390,6 +390,47 @@ def test_skew_brace_files_are_validated_once(command, monkeypatch, tmp_path, cap
     assert main(argv) == 0
     capsys.readouterr()
     assert calls == [12] * (2 if command == "iso" else 1)
+
+
+@pytest.mark.parametrize("validator", ["validate_group", "validate_clifford"])
+def test_a_table_on_both_sides_is_validated_once(validator, monkeypatch, tmp_path, capsys):
+    # a trivial brace's file holds its table twice; it is validated once
+    c6, c2, z8 = wbk.catalog_get("c6_trivial"), wbk.catalog_get("c2_trivial"), exotic(8)
+    if validator == "validate_clifford":
+        c6, c2, z8 = c6.as_dual(), c2.as_dual(), z8.as_dual()
+    calls, real = [], getattr(braces, validator)
+
+    def spy(raw):
+        calls.append(len(raw))
+        return real(raw)
+
+    monkeypatch.setattr(braces, validator, spy)
+    trivial = load(_write(tmp_path, "t.json", c6))
+    assert calls == [6] and trivial.add is trivial.mul
+    calls.clear()
+    assert load(_write(tmp_path, "e.json", z8)) == z8 and calls == [8, 8]
+    # a corrupted shared table still fails on the add side; a mul table equal
+    # to add only up to 1 == 1.0 == True is still validated, and rejected
+    obj = to_obj(c6)
+    obj["add"][2][3] = (obj["add"][2][3] + 1) % 6
+    obj["mul"] = [list(row) for row in obj["add"]]
+    cases = [
+        (obj, "violation: not_associative side=add witness=(1, 1, 3)"),
+        (_changed_entry(c6, 1, 1, float), "violation: not_closed side=mul witness=(1, 1)"),
+        (_changed_entry(c2, 0, 1, bool), "violation: not_closed side=mul witness=(0, 1)"),
+    ]
+    for x, line in cases:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(x), encoding="utf-8")
+        assert main(["validate", "--input", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [line, "status: fail"]
+
+
+def _changed_entry(b, a, c, kind):
+    """b's file object with mul entry (a, c) changed to an equal value of another type."""
+    obj = to_obj(b)
+    obj["mul"][a][c] = kind(obj["mul"][a][c])
+    return obj
 
 
 def test_other_structures_revalidate_every_component(monkeypatch, tmp_path, capsys):

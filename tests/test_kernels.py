@@ -27,7 +27,7 @@ import pytest
 from conftest import exotic, exotic_chain, exotic_chain_spec, non_chain, relabelled_table, symmetric_table
 
 import wbk
-from wbk import SolutionTable, ValidationError, braces, solutions, tables, validate_group
+from wbk import SolutionTable, ValidationError, braces, solution_table, solutions, tables, validate_group
 from wbk.tables import _close, _first_nonassoc, _generators, _mask
 
 # gens = [0], and the least non-associative triple (0, 1, 0) has its middle
@@ -55,11 +55,11 @@ def _compatibility_scan(add, mul, gens=None):
 
 def _braid_scan(r):
     def r12(t):
-        u, v = r.pairs[t[0]][t[1]]
+        u, v = r.apply(t[0], t[1])
         return (u, v, t[2])
 
     def r23(t):
-        u, v = r.pairs[t[1]][t[2]]
+        u, v = r.apply(t[1], t[2])
         return (t[0], u, v)
 
     for t in product(range(r.order), repeat=3):
@@ -555,23 +555,21 @@ def test_regularity_matches_the_list_loop(monkeypatch):
 
 
 def _corrupted(r, rng, entries):
-    n = r.order
-    pairs = [list(row) for row in r.pairs]
+    n, cells = r.order, {}
     for _ in range(entries):
-        pairs[rng.randrange(n)][rng.randrange(n)] = (rng.randrange(n), rng.randrange(n))
-    return SolutionTable(n, tuple(map(tuple, pairs)))
+        pair = (rng.randrange(n), rng.randrange(n))
+        cells[rng.randrange(n), rng.randrange(n)] = pair
+    return solution_table(n, lambda a, b: cells.get((a, b)) or r.apply(a, b))
 
 
 def _moved(r, rng, side):
     """r with one cell's lam value (side 0) or rho value (side 1) moved to
     another element, the other coordinate kept."""
     n = r.order
-    pairs = [list(row) for row in r.pairs]
     a, b = rng.randrange(n), rng.randrange(n)
-    cell = list(pairs[a][b])
+    cell = list(r.apply(a, b))
     cell[side] = (cell[side] + rng.randrange(1, n)) % n
-    pairs[a][b] = tuple(cell)
-    return SolutionTable(n, tuple(map(tuple, pairs)))
+    return solution_table(n, lambda x, y: tuple(cell) if (x, y) == (a, b) else r.apply(x, y))
 
 
 def _solutions():
@@ -599,7 +597,7 @@ def test_check_braid_matches_scan(monkeypatch):
             moved[side] += want is not None
     for _ in range(500):
         m = rng.randrange(1, 5)
-        r = SolutionTable(m, tuple(tuple((rng.randrange(m), rng.randrange(m)) for _ in range(m)) for _ in range(m)))
+        r = solution_table(m, lambda a, b: (rng.randrange(m), rng.randrange(m)))
         cases.append((r, _braid_scan(r)))
     for bound in (tables.BYTES_BOUND, 0):
         monkeypatch.setattr(tables, "BYTES_BOUND", bound)
@@ -624,7 +622,7 @@ def test_check_braid_property():
 
 def _table_solution(lam, rho):
     """r(x, y) = (lam[x][y], rho[x][y]), from the rows of both tables."""
-    return SolutionTable(len(lam), tuple(tuple(zip(lr, rr)) for lr, rr in zip(lam, rho)))
+    return SolutionTable(len(lam), tuple(map(tuple, lam)), tuple(map(tuple, rho)))
 
 
 def _pooled(rng, n):
@@ -694,8 +692,7 @@ def _signature_classes(r):
 
 
 def _representative_pair(r, enc=tuple):
-    lam, rho = solutions._split(r)
-    rows, cols = [enc(t) for t in lam], [enc(t) for t in zip(*rho)]
+    rows, cols = [enc(t) for t in r.lam], [enc(t) for t in zip(*r.rho)]
     return solutions._representatives(rows, cols), solutions._representatives(cols, rows)
 
 
@@ -738,10 +735,8 @@ def test_check_braid_scans_rows_only_for_the_witness(monkeypatch):
             m.setattr(tables, "BYTES_BOUND", bound)
             assert all(wbk.check_braid(r) is None for r in sols)
     big = sols[-1]
-    pairs = [list(row) for row in big.pairs]
-    u, v = pairs[0][5]
-    pairs[0][5] = (u, (v + 1) % big.order)
-    bad = SolutionTable(big.order, tuple(map(tuple, pairs)))
+    u, v = big.apply(0, 5)
+    bad = solution_table(big.order, lambda a, b: (u, (v + 1) % big.order) if (a, b) == (0, 5) else big.apply(a, b))
     want = _braid_scan(bad)  # it stops at the least witness
     assert want is not None and want[0] == 0
     assert wbk.check_braid(bad) == want
@@ -788,9 +783,6 @@ def test_compose_solutions_matches_the_definition():
     rng = random.Random(24)
     for _ in range(300):
         m = rng.randrange(1, 6)
-        r1, r2 = (
-            SolutionTable(m, tuple(tuple((rng.randrange(m), rng.randrange(m)) for _ in range(m)) for _ in range(m)))
-            for _ in range(2)
-        )
-        want = tuple(tuple(r2.apply(*r1.apply(a, b)) for b in range(m)) for a in range(m))
-        assert wbk.compose_solutions(r2, r1) == SolutionTable(m, want), (r2, r1)
+        r1, r2 = (solution_table(m, lambda a, b: (rng.randrange(m), rng.randrange(m))) for _ in range(2))
+        want = solution_table(m, lambda a, b: r2.apply(*r1.apply(a, b)))
+        assert wbk.compose_solutions(r2, r1) == want, (r2, r1)

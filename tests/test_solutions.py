@@ -4,6 +4,7 @@ import random
 from math import lcm
 
 import pytest
+from conftest import exotic_chain_spec
 
 import wbk
 from wbk import NoPeriod, SolutionTable, ValidationError
@@ -13,9 +14,7 @@ from wbk.solutions import is_bijective, solution_table, strong_semilattice_of_so
 NOT_A_SOLUTION = solution_table(3, lambda a, b: (b, (a + b) % 3))
 
 # pair map with a genuine pre-period: r^3 == r^2 but r^2 != r
-EVENTUALLY_PERIODIC = SolutionTable(
-    2, (((0, 0), (1, 0)), ((0, 0), (0, 0)))
-)
+EVENTUALLY_PERIODIC = SolutionTable(2, ((0, 1), (0, 0)), ((0, 0), (0, 0)))
 
 
 def test_braid_holds_on_all_catalog_structures(all_structures):
@@ -65,15 +64,15 @@ def test_no_period_raises():
 def _power_loop(r):
     """(tail, cycle) of the first repeat r^(tail+1+cycle) == r^(tail+1),
     found power by power; tail 0 means r recurs with period cycle."""
-    seen = {r.pairs: 1}
+    seen = {r: 1}
     power, k = r, 1
     while True:
         power = wbk.compose_solutions(power, r)
         k += 1
-        j = seen.get(power.pairs)
+        j = seen.get(power)
         if j is not None:
             return j - 1, k - j
-        seen[power.pairs] = k
+        seen[power] = k
 
 
 def _tail_and_cycle(r):
@@ -96,7 +95,7 @@ def test_period_matches_the_power_loop_on_random_maps():
             pts = rng.sample(range(n * n), c + h)
             for k in range(c + h):
                 succ[pts[k]] = pts[(k + 1) % c if k < c else k - 1 if k > c else 0]
-        r = SolutionTable(n, tuple(tuple(divmod(succ[a * n + b], n) for b in range(n)) for a in range(n)))
+        r = solution_table(n, lambda a, b: divmod(succ[a * n + b], n))
         want = _power_loop(r)
         assert _tail_and_cycle(r) == want, (r, want)
         planted += want[0] > 1 and want[1] > 1
@@ -126,7 +125,8 @@ def test_regularity(all_structures):
 
 
 def test_gluing_reproduces_composed_solution():
-    for name, spec in wbk.catalog_specs():
+    chains = [(orders, exotic_chain_spec(orders)) for orders in ((6, 2, 2), (8, 4, 2))]
+    for name, spec in wbk.catalog_specs() + chains:
         glued = strong_semilattice_of_solutions(
             spec.y,
             tuple(wbk.solution_of(b.as_dual()) for b in spec.braces),
