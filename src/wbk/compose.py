@@ -167,8 +167,8 @@ def are_isomorphic(s: DualWeakBrace, t: DualWeakBrace) -> IsomorphismWitness | N
 
     Both structures are taken apart by decompose, so a skew brace from
     SkewBrace.as_dual is its own one-component decomposition.  The assembled
-    global map is checked in full on both table pairs by _hom_test (bytes up
-    to BYTES_BOUND, the elementwise scan above it).
+    global map is checked in full on both table pairs by _first_non_hom,
+    whose row kernel decides at every order.
     """
     if s.order != t.order or len(s.idempotents) != len(t.idempotents):
         return None
@@ -230,6 +230,6 @@ def are_isomorphic(s: DualWeakBrace, t: DualWeakBrace) -> IsomorphismWitness | N
             g[a] = mem_t[eta[alpha]][theta[i]]
     if len(set(g)) != s.order:
         raise InternalInvariantBroken("assembled isomorphism is not a bijection")
-    if not (_hom_test(s.add.op, t.add.op)(g) and _hom_test(s.mul.op, t.mul.op)(g)):
+    if _first_non_hom(g, ((s.add.op, t.add.op), (s.mul.op, t.mul.op))) is not None:
         raise InternalInvariantBroken("assembled isomorphism fails on a pair")
     return IsomorphismWitness(eta, thetas, tuple(g))

@@ -11,21 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, product
-from operator import countOf, itemgetter, methodcaller
+from operator import countOf, itemgetter
 
 from .errors import InternalInvariantBroken, ValidationError
 
 # the largest order whose elements fit in one byte: up to it the row
-# kernels (see _codec), the hom search (its extension steps and checks,
-# _iter_group_homs) and the check of each map it yields (_hom_test) run on
-# bytes with bytes.translate; above it the row kernels run the same loops
-# on tuples, the search the same plan on lists, and _hom_test scans
-# elementwise.  Read at call time.
+# kernels (see _codec; _hom_test is one of them) and the hom search (its
+# extension steps and checks, _iter_group_homs) run on bytes with
+# bytes.translate; above it the row kernels run the same loops on tuples
+# and the search the same plan on lists.  Read at call time.
 BYTES_BOUND = 256
 
 
-# row -> row as a bytes.translate table (values past its end go to 0)
-_pad = methodcaller("ljust", 256, b"\0")
+def _pad(row: bytes) -> bytes:
+    """row as a bytes.translate table (values past its end go to 0)."""
+    return row.ljust(256, b"\0")
 
 
 def _cat_tuples(parts) -> tuple:
@@ -251,46 +251,40 @@ def _first_non_hom(f, pairs) -> tuple[int, int, int] | None:
     """Least (x, y, k) with f[src[x][y]] != dst[f[x]][f[y]], (src, dst) = pairs[k].
 
     Least is lexicographic in (x, y), ties going to the lower k; None when f
-    carries every src table into its dst table.
+    carries every src table into its dst table.  _hom_test decides each
+    pair; only a pair it rejects is scanned, to name its least (x, y).
     """
-    best = None
+    bad = []
     for k, (src, dst) in enumerate(pairs):
-        for x, fx in enumerate(f):
-            if best is not None and x > best[0]:
-                break  # no later row of this table can beat best
-            row, img = src[x], dst[fx]
-            for y, fy in enumerate(f):
-                if f[row[y]] != img[fy]:
-                    break
-            else:
-                continue  # row x holds no failure
-            if best is None or (x, y) < best[:2]:
-                best = (x, y, k)
-            break
-    return best
+        if not _hom_test(src, dst)(f):
+            xy = next(((x, y) for x, fx in enumerate(f) for y, fy in enumerate(f)
+                       if f[src[x][y]] != dst[fx][fy]), None)
+            if xy is None:
+                raise InternalInvariantBroken("hom kernel rejects a map the scan accepts")
+            bad.append((*xy, k))
+    return min(bad, default=None)
 
 
 def _hom_test(src, dst):
-    """holds(f): whether f[src[x][y]] == dst[f[x]][f[y]] for every (x, y),
-    i.e. _first_non_hom(f, ((src, dst),)) is None.  With both orders at most
-    BYTES_BOUND the pair is encoded once as bytes, and each map costs
-    min(n, m) + 1 translates and one compare: src by f, and f by each row of
-    dst (by row f[x] for every x when dst has as many rows as src or more);
-    larger tables are scanned.
+    """holds(f): whether f[src[x][y]] == dst[f[x]][f[y]] for every (x, y).
+
+    Both tables are encoded once by _codec(max(n, m)), and each map costs
+    min(n, m) + 1 translates and one compare: src's joined rows by f, and f
+    by each row of dst (by row f[x] for every x when dst has as many rows
+    as src or more).
     """
-    if max(len(src), len(dst)) > BYTES_BOUND:
-        return lambda f: _first_non_hom(f, ((src, dst),)) is None
-    flat = bytes(chain.from_iterable(src))
-    pads = [bytes(row).ljust(256, b"\0") for row in dst]
-    few = len(dst) < len(src)
+    n, m = len(src), len(dst)
+    enc, tr, cat, pad = _codec(max(n, m))
+    flat = cat(map(enc, src))
+    pads = [pad(enc(row)) for row in dst]
 
     def holds(f) -> bool:
-        fb = bytes(f)
-        if few:
-            rows = map(list(map(fb.translate, pads)).__getitem__, f)
+        fe = enc(f)
+        if m < n:
+            rows = map([tr(fe, p) for p in pads].__getitem__, f)
         else:
-            rows = map(fb.translate, map(pads.__getitem__, f))
-        return flat.translate(fb.ljust(256, b"\0")) == b"".join(rows)
+            rows = [tr(fe, pads[v]) for v in f]
+        return tr(flat, pad(fe)) == cat(rows)
 
     return holds
 
@@ -597,8 +591,9 @@ def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool =
     is two bytes.translate calls (its parent slots by fp, then by b's
     column of the image of gens[j]) and a check group three.  Larger
     orders run the same loop on a list, gathering with itemgetter.  Chains
-    and single checks index scalars, and every yielded map is checked in
-    full by _hom_test.
+    and single checks index scalars.  Every yielded map is checked in full
+    by _hom_test, at every order; a map it rejects is scanned only to name
+    the least witness of the InternalInvariantBroken it raises.
     """
     aop, bop = a.op, b.op
     slot, levels = _plan_slots(a)
@@ -642,8 +637,6 @@ def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool =
         hom = unplan(fp)
         if not holds(hom):
             bad = _first_non_hom(hom, ((aop, bop),))
-            if bad is None:
-                raise InternalInvariantBroken("bytes hom test rejects a hom the scan accepts")
             raise InternalInvariantBroken(f"hom closure produced a non-hom at {bad[:2]}")
         return tuple(hom)
 

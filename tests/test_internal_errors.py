@@ -268,7 +268,7 @@ CLI_CASES = [
     ("compose", _iso_not_bijective, "assembled isomorphism is not a bijection"),
     ("compose", _iso_not_hom, "assembled isomorphism fails on a pair"),
     ("tables", _hom_search_leaf, "hom closure produced a non-hom at (0, 1)"),
-    ("tables", _hom_test_alone, "bytes hom test rejects a hom the scan accepts"),
+    ("tables", _hom_test_alone, "hom kernel rejects a map the scan accepts"),
     ("tables", _associativity_reject, "associativity kernel rejects a table the row scan accepts"),
     ("tables", _pseudo_inverse_reject, "pseudo-inverse kernel rejects an element the scan accepts"),
     ("braces", _compatibility_reject, "compatibility kernel rejects a table pair the row scan accepts"),

@@ -18,8 +18,10 @@ from wbk import (
     clifford_of_group,
     decompose,
     enumerate_group_homs,
+    enumerate_ideals,
     enumerate_skew_brace_homs,
     generating_set,
+    quotient,
     relabel,
     validate_clifford,
     validate_group,
@@ -354,11 +356,30 @@ def _brute_first_non_hom(f, pairs):
     return None
 
 
-def test_first_non_hom_matches_lexicographic_scan():
+def _moved_projections(rng):
+    """Quotient projections S -> S/I of catalog and exotic structures, each
+    with one entry moved as well, on the (+, ∘) table pairs: maps onto a
+    smaller table that are homs, and near-homs."""
+    structures = [s for _, s in catalog_structures()] + [exotic(n).as_dual() for n in (8, 12, 16)]
+    cases = []
+    for s in structures:
+        for ideal in enumerate_ideals(s).ideals:
+            q = quotient(s, ideal)
+            qs, proj = q.quotient, q.projection
+            pairs = ((s.add.op, qs.add.op), (s.mul.op, qs.mul.op))
+            cases.append((proj, pairs))
+            for x in rng.sample(range(s.order), min(3, s.order)) if qs.order > 1 else ():
+                moved = list(proj)
+                moved[x] = (proj[x] + rng.randrange(1, qs.order)) % qs.order
+                cases.append((tuple(moved), pairs))
+    return cases
+
+
+def test_first_non_hom_matches_lexicographic_scan(monkeypatch):
     rng = random.Random(0)
     braces = [catalog_get(name) for name, kind, _ in catalog_list() if kind == "skew_brace"]
     braces = [b for b in braces if b.order <= 6]
-    later_wins = 0
+    cases = []
     for a in braces:
         for b in braces:
             maps = enumerate_group_homs(a.mul, b.mul) + enumerate_group_homs(a.add, b.add)
@@ -368,12 +389,22 @@ def test_first_non_hom_matches_lexicographic_scan():
                 ((a.mul.op, b.mul.op), (a.add.op, b.add.op)),
                 ((a.mul.op, b.mul.op),),
             ):
-                for f in maps:
-                    want = _brute_first_non_hom(f, pairs)
-                    assert _first_non_hom(f, pairs) == want, (f, pairs)
-                    later_wins += want is not None and want[2] == 1
-    # the later table must win sometimes, or the tie order goes untested
-    assert later_wins > 0
+                cases += [(f, pairs) for f in maps]
+    cases += _moved_projections(rng)
+    for bound in (tables.BYTES_BOUND, 0):
+        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        later_wins = both_fail = shrinking = 0
+        for f, pairs in cases:
+            want = _brute_first_non_hom(f, pairs)
+            assert _first_non_hom(f, pairs) == want, (f, pairs)
+            later_wins += want is not None and want[2] == 1
+            # the first pair fails too, at a greater (x, y)
+            both_fail += want is not None and want[2] == 1 and _brute_first_non_hom(f, pairs[:1]) is not None
+            shrinking += want is not None and len(pairs[0][1]) < len(f)
+        # the later table must win sometimes, also over a failing first
+        # table, or the tie order and the least over pairs go untested
+        assert later_wins > both_fail > 0
+        assert shrinking > 20
 
 
 def test_hom_search_cross_check_fires_on_a_loop():
@@ -398,7 +429,7 @@ def _small_groups():
 def _product_homs(a, b):
     """Brute force: every map a -> b in lexicographic order, kept when it is a hom."""
     pairs = ((a.op, b.op),)
-    return [f for f in product(range(b.order), repeat=a.order) if _first_non_hom(f, pairs) is None]
+    return [f for f in product(range(b.order), repeat=a.order) if _brute_first_non_hom(f, pairs) is None]
 
 
 def _generated_homs(g, h, pairs):
@@ -573,20 +604,20 @@ def _cyclic(n):
 def _assert_hom_test_agrees(src, dst, maps):
     holds = _hom_test(src, dst)
     for f in maps:
-        assert holds(f) == (_first_non_hom(f, ((src, dst),)) is None), (f, src, dst)
+        assert holds(f) == (_brute_first_non_hom(f, ((src, dst),)) is None), (f, src, dst)
 
 
-def test_hom_test_matches_first_non_hom_on_random_maps():
+def test_hom_test_matches_first_non_hom_on_random_maps(monkeypatch):
     rng = random.Random(16)
     groups = [g.op for g in (catalog_get("klein4"), catalog_get("sym3"))]
     groups += [_cyclic(n) for n in range(1, 9)]
+    cases = []
     nontrivial = 0
     for src in groups:
         for dst in groups:
             n, m = len(src), len(dst)
             homs = [tuple(f) for f in enumerate_group_homs(validate_group(src), validate_group(dst))]
-            maps = homs + [tuple(rng.randrange(m) for _ in range(n)) for _ in range(30)]
-            _assert_hom_test_agrees(src, dst, maps)
+            cases.append((src, dst, homs + [tuple(rng.randrange(m) for _ in range(n)) for _ in range(30)]))
             nontrivial += n != m and len(homs) > 1
     assert nontrivial > 10
     # arbitrary tables, not only groups, orders 1-8 on each side
@@ -594,11 +625,18 @@ def test_hom_test_matches_first_non_hom_on_random_maps():
         n, m = rng.randint(1, 8), rng.randint(1, 8)
         src = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
         dst = [[rng.randrange(m) for _ in range(m)] for _ in range(m)]
-        _assert_hom_test_agrees(src, dst, [tuple(rng.randrange(m) for _ in range(n)) for _ in range(10)])
+        cases.append((src, dst, [tuple(rng.randrange(m) for _ in range(n)) for _ in range(10)]))
+    # quotient projections onto smaller tables, and the same with one entry moved
+    cases += [(src, dst, [f]) for f, pairs in _moved_projections(rng) for src, dst in pairs]
+    for bound in (tables.BYTES_BOUND, 0):
+        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        for src, dst, maps in cases:
+            _assert_hom_test_agrees(src, dst, maps)
 
 
-def test_hom_test_catches_a_failure_at_the_last_pair():
+def test_hom_test_catches_a_failure_at_the_last_pair(monkeypatch):
     rng = random.Random(17)
+    cases = []
     for n in range(1, 8):
         for m in range(max(n, 2), 9):
             # an injective f and a dst that agrees with f on every pair but the last
@@ -608,44 +646,57 @@ def test_hom_test_catches_a_failure_at_the_last_pair():
             for x in range(n):
                 for y in range(n):
                     dst[f[x]][f[y]] = f[src[x][y]]
-            assert _hom_test(src, dst)(f)
-            dst[f[-1]][f[-1]] = (dst[f[-1]][f[-1]] + 1) % m
-            assert _first_non_hom(f, ((src, dst),)) == (n - 1, n - 1, 0)
-            assert not _hom_test(src, dst)(f)
+            bent = [list(row) for row in dst]
+            bent[f[-1]][f[-1]] = (dst[f[-1]][f[-1]] + 1) % m
+            cases.append((f, src, dst, bent))
+    for bound in (tables.BYTES_BOUND, 0):
+        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        for f, src, dst, bent in cases:
+            n = len(f)
+            assert _hom_test(src, dst)(f) and _first_non_hom(f, ((src, dst),)) is None
+            assert not _hom_test(src, bent)(f)
+            assert _first_non_hom(f, ((src, bent),)) == (n - 1, n - 1, 0)
 
 
 @pytest.mark.parametrize("n", [256, 257])
 def test_hom_test_on_both_sides_of_the_bytes_bound(n):
-    # 256 is encoded as bytes, 257 is scanned
+    # 256 is encoded as bytes, 257 runs on tuples
     z = _cyclic(n)
     hom = tuple(3 * x % n for x in range(n))
     bent = hom[:100] + ((hom[100] + 1) % n,) + hom[101:]
     holds = _hom_test(z, z)
     assert holds(hom) and not holds(bent)
     assert _first_non_hom(bent, ((z, z),)) is not None
-    # at 257 one side past the bound is enough to scan: bytes() would
+    # at 257 one side past the bound is enough for tuples: bytes() would
     # reject its entries
     one = _cyclic(1)
     assert _hom_test(z, one)((0,) * n) and _hom_test(one, z)((0,))
     assert not _hom_test(one, z)((1,))
 
 
-def test_a_bytes_bound_of_0_forces_the_scan(monkeypatch):
-    scanned = []
-
-    def spy(f, pairs):
-        scanned.append(f)
-        return _first_non_hom(f, pairs)
-
-    monkeypatch.setattr(tables, "_first_non_hom", spy)
-    z = _cyclic(6)
-    maps = [tuple(2 * x % 6 for x in range(6)), (1, 2, 3, 4, 5, 0)]
-    for bound, scans in ((tables.BYTES_BOUND, 0), (0, 2)):
+def test_the_hom_kernel_decides_at_both_bounds(monkeypatch):
+    # x -> x + 1 on Z6 fails first at (0, 0); with the kernel patched to
+    # accept it, _first_non_hom passes it: no scan ran
+    z, shift = _cyclic(6), (1, 2, 3, 4, 5, 0)
+    for bound in (tables.BYTES_BOUND, 0):
         monkeypatch.setattr(tables, "BYTES_BOUND", bound)
-        holds = _hom_test(z, z)
-        assert [holds(f) for f in maps] == [True, False]
-        assert len(scanned) == scans
-        scanned.clear()
+        assert _first_non_hom(shift, ((z, z),)) == (0, 0, 0)
+        with monkeypatch.context() as mp:
+            mp.setattr(tables, "_hom_test", lambda src, dst: lambda f: True)
+            assert _first_non_hom(shift, ((z, z),)) is None
+
+
+def test_the_hom_kernel_encodes_both_tables_at_the_larger_order(monkeypatch):
+    # at the default bound bytes() would refuse Z257's entries, but at a
+    # bound of 0 every order runs on tuples: only the order asked of
+    # _codec shows that src and dst share one encoding
+    asked, codec = [], tables._codec
+    monkeypatch.setattr(tables, "_codec", lambda n: asked.append(n) or codec(n))
+    for bound in (tables.BYTES_BOUND, 0):
+        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        for n, m in ((1, 257), (257, 1), (3, 5), (5, 3)):
+            assert _hom_test(_cyclic(n), _cyclic(m))((0,) * n)
+            assert asked.pop() == max(n, m)
 
 
 def test_brace_homs_are_the_mul_homs_that_keep_plus():
@@ -655,7 +706,7 @@ def test_brace_homs_are_the_mul_homs_that_keep_plus():
     for a in braces:
         for b in braces:
             adds = ((a.add.op, b.add.op),)
-            want = [f for f in enumerate_group_homs(a.mul, b.mul) if _first_non_hom(f, adds) is None]
+            want = [f for f in enumerate_group_homs(a.mul, b.mul) if _brute_first_non_hom(f, adds) is None]
             assert enumerate_skew_brace_homs(a, b) == want, (a.order, b.order)
             exotic_pairs += a.add != a.mul and len(want) > 1
     assert exotic_pairs > 10
