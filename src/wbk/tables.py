@@ -10,17 +10,17 @@ once a row pass fails, to name that witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, product
-from operator import countOf, itemgetter
+from itertools import chain, product, repeat
+from operator import countOf, eq, itemgetter
 
 from .errors import InternalInvariantBroken, ValidationError
 
 # the largest order whose elements fit in one byte: up to it the row
-# kernels (see _codec; _hom_test is one of them) and the hom search (its
-# extension steps and checks, _iter_group_homs) run on bytes with
-# bytes.translate; above it the row kernels run the same loops on tuples
-# and the search the same plan on lists.  Read at call time.
+# kernels (see _codec; _hom_test is one) and the hom search
+# (_iter_group_homs) run on bytes, above it on tuples and lists.  Read at
+# call time, like HOM_BLOCK.
 BYTES_BOUND = 256
+HOM_BLOCK = 1 << 16  # the most entries _hom_test compares at once: every order up to 256
 
 
 def _pad(row: bytes) -> bytes:
@@ -268,19 +268,25 @@ def _first_non_hom(f, pairs) -> tuple[int, int, int] | None:
 def _hom_test(src, dst):
     """holds(f): whether f[src[x][y]] == dst[f[x]][f[y]] for every (x, y).
 
-    Both tables are encoded once by _codec(max(n, m)), and each map costs
-    min(n, m) + 1 translates and one compare: src's joined rows by f, and f
-    by each row of dst (by row f[x] for every x when dst has as many rows
-    as src or more).
+    Both tables are encoded once by _codec(max(n, m)).  A src of at most
+    HOM_BLOCK entries is one compare: its joined rows translated by f
+    against f translated by row f[x] of dst for each x (by each of the m
+    rows of dst when m < n), min(n, m) + 1 translates.  A larger src is
+    compared row by row, row x by f against f by row f[x] of dst, so a
+    map stops at its first failing row and nothing is joined.
     """
     n, m = len(src), len(dst)
     enc, tr, cat, pad = _codec(max(n, m))
-    flat = cat(map(enc, src))
     pads = [pad(enc(row)) for row in dst]
+    if n * n > HOM_BLOCK:
+        rows = list(map(enc, src))
+        return lambda f: all(map(eq, map(tr, rows, repeat(pad(enc(f)))),
+                                 map(tr, repeat(enc(f)), map(pads.__getitem__, f))))
+    flat, few = cat(map(enc, src)), m < n
 
     def holds(f) -> bool:
         fe = enc(f)
-        if m < n:
+        if few:
             rows = map([tr(fe, p) for p in pads].__getitem__, f)
         else:
             rows = [tr(fe, pads[v]) for v in f]
@@ -592,8 +598,7 @@ def _iter_group_homs(a: FiniteGroupTable, b: FiniteGroupTable, injective: bool =
     column of the image of gens[j]) and a check group three.  Larger
     orders run the same loop on a list, gathering with itemgetter.  Chains
     and single checks index scalars.  Every yielded map is checked in full
-    by _hom_test, at every order; a map it rejects is scanned only to name
-    the least witness of the InternalInvariantBroken it raises.
+    by _hom_test; one it rejects raises InternalInvariantBroken.
     """
     aop, bop = a.op, b.op
     slot, levels = _plan_slots(a)

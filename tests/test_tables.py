@@ -375,6 +375,11 @@ def _moved_projections(rng):
     return cases
 
 
+# the hom kernel (_hom_test) on bytes and on tuples, each as one compare of
+# the joined rows and row by row (HOM_BLOCK at 0)
+_KERNEL_SETTINGS = list(product((tables.BYTES_BOUND, 0), (tables.HOM_BLOCK, 0)))
+
+
 def test_first_non_hom_matches_lexicographic_scan(monkeypatch):
     rng = random.Random(0)
     braces = [catalog_get(name) for name, kind, _ in catalog_list() if kind == "skew_brace"]
@@ -391,8 +396,9 @@ def test_first_non_hom_matches_lexicographic_scan(monkeypatch):
             ):
                 cases += [(f, pairs) for f in maps]
     cases += _moved_projections(rng)
-    for bound in (tables.BYTES_BOUND, 0):
+    for bound, block in _KERNEL_SETTINGS:
         monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        monkeypatch.setattr(tables, "HOM_BLOCK", block)
         later_wins = both_fail = shrinking = 0
         for f, pairs in cases:
             want = _brute_first_non_hom(f, pairs)
@@ -628,8 +634,9 @@ def test_hom_test_matches_first_non_hom_on_random_maps(monkeypatch):
         cases.append((src, dst, [tuple(rng.randrange(m) for _ in range(n)) for _ in range(10)]))
     # quotient projections onto smaller tables, and the same with one entry moved
     cases += [(src, dst, [f]) for f, pairs in _moved_projections(rng) for src, dst in pairs]
-    for bound in (tables.BYTES_BOUND, 0):
+    for bound, block in _KERNEL_SETTINGS:
         monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        monkeypatch.setattr(tables, "HOM_BLOCK", block)
         for src, dst, maps in cases:
             _assert_hom_test_agrees(src, dst, maps)
 
@@ -649,8 +656,9 @@ def test_hom_test_catches_a_failure_at_the_last_pair(monkeypatch):
             bent = [list(row) for row in dst]
             bent[f[-1]][f[-1]] = (dst[f[-1]][f[-1]] + 1) % m
             cases.append((f, src, dst, bent))
-    for bound in (tables.BYTES_BOUND, 0):
+    for bound, block in _KERNEL_SETTINGS:
         monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        monkeypatch.setattr(tables, "HOM_BLOCK", block)
         for f, src, dst, bent in cases:
             n = len(f)
             assert _hom_test(src, dst)(f) and _first_non_hom(f, ((src, dst),)) is None
@@ -660,7 +668,8 @@ def test_hom_test_catches_a_failure_at_the_last_pair(monkeypatch):
 
 @pytest.mark.parametrize("n", [256, 257])
 def test_hom_test_on_both_sides_of_the_bytes_bound(n):
-    # 256 is encoded as bytes, 257 runs on tuples
+    # 256 is encoded as bytes and compared at once, 257 runs on tuples
+    # and is compared row by row
     z = _cyclic(n)
     hom = tuple(3 * x % n for x in range(n))
     bent = hom[:100] + ((hom[100] + 1) % n,) + hom[101:]
@@ -678,25 +687,13 @@ def test_the_hom_kernel_decides_at_both_bounds(monkeypatch):
     # x -> x + 1 on Z6 fails first at (0, 0); with the kernel patched to
     # accept it, _first_non_hom passes it: no scan ran
     z, shift = _cyclic(6), (1, 2, 3, 4, 5, 0)
-    for bound in (tables.BYTES_BOUND, 0):
+    for bound, block in _KERNEL_SETTINGS:
         monkeypatch.setattr(tables, "BYTES_BOUND", bound)
+        monkeypatch.setattr(tables, "HOM_BLOCK", block)
         assert _first_non_hom(shift, ((z, z),)) == (0, 0, 0)
         with monkeypatch.context() as mp:
             mp.setattr(tables, "_hom_test", lambda src, dst: lambda f: True)
             assert _first_non_hom(shift, ((z, z),)) is None
-
-
-def test_the_hom_kernel_encodes_both_tables_at_the_larger_order(monkeypatch):
-    # at the default bound bytes() would refuse Z257's entries, but at a
-    # bound of 0 every order runs on tuples: only the order asked of
-    # _codec shows that src and dst share one encoding
-    asked, codec = [], tables._codec
-    monkeypatch.setattr(tables, "_codec", lambda n: asked.append(n) or codec(n))
-    for bound in (tables.BYTES_BOUND, 0):
-        monkeypatch.setattr(tables, "BYTES_BOUND", bound)
-        for n, m in ((1, 257), (257, 1), (3, 5), (5, 3)):
-            assert _hom_test(_cyclic(n), _cyclic(m))((0,) * n)
-            assert asked.pop() == max(n, m)
 
 
 def test_brace_homs_are_the_mul_homs_that_keep_plus():
