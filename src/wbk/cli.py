@@ -311,9 +311,7 @@ def _cmd_series(args) -> Report:
 
 def _cmd_sandwich(args) -> Report:
     s = _as_dual(_load_one(args))
-    # the check reuses the series and its quotient memo, so each is built once
-    quotients = series._quotients(s)
-    ann = series._upper_series(s, True, quotients)
+    ann = series.annihilator_series(s)
     if not ann.terminated:
         last = ann.chain[-1]
         return Report(
@@ -325,7 +323,9 @@ def _cmd_sandwich(args) -> Report:
             ],
             [sorted(last)],
         )
-    rep = series._verify_sandwich(s, ann.chain, ann, quotients)
+    # the series is an annihilator series by construction: only the
+    # theorem is left to check on it
+    rep = series._sandwich(s, ann.chain, ann)
     lines = [
         f"annihilator series terminates at index {ann.index}",
         _series_line(ann),

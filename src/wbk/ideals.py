@@ -50,7 +50,11 @@ class Check:
 def _check_members(order: int, x) -> None:
     bad = [a for a in x if type(a) is not int or not 0 <= a < order]
     if bad:
-        raise ValueError(f"subset members out of range: {sorted(bad)!r}")
+        try:
+            bad.sort()
+        except TypeError:  # members of types that do not compare
+            bad.sort(key=repr)
+        raise ValueError(f"subset members out of range: {bad!r}")
 
 
 # The ideal laws take (s, x, sorted members) and return the failing Check or

@@ -138,17 +138,10 @@ class SandwichReport:
 
 def verify_sandwich(s: DualWeakBrace, chain) -> SandwichReport:
     """Given an annihilator series, check Gamma_{k-j} <= I_j <= Ann_j for all j,
-    plus the consecutive-step and sum identities behind the theorem."""
+    plus the consecutive-step and sum identities behind the theorem.  The
+    chain's pullbacks share the _quotients(s) memo that builds Ann."""
     quotients = _quotients(s)
-    return _verify_sandwich(s, chain, _upper_series(s, True, quotients), quotients)
-
-
-def _verify_sandwich(s: DualWeakBrace, chain, ann: SeriesReport, quotients) -> SandwichReport:
-    """verify_sandwich against ann, the annihilator series of s, on the
-    _quotients(s) memo that built it.  Each distinct set is tested for an
-    ideal once: the chain's members here, and the sums of its pairs (each
-    a member again) through the same memo."""
-    ideal = cache(partial(is_ideal, s))
+    ann = _upper_series(s, True, quotients)
     chain = tuple(frozenset(x) for x in chain)
     full = frozenset(range(s.order))
     target = frozenset(s.idempotents)
@@ -157,7 +150,7 @@ def _verify_sandwich(s: DualWeakBrace, chain, ann: SeriesReport, quotients) -> S
     if chain[-1] != full:
         raise NotAnnihilatorSeries(len(chain) - 1, ("must_end_at_full_set",))
     for j, member in enumerate(chain):
-        chk = ideal(member)
+        chk = is_ideal(s, member)
         if not chk:
             raise NotAnnihilatorSeries(j, (chk.law, chk.witness))
         if j and not chain[j - 1] <= member:
@@ -166,22 +159,26 @@ def _verify_sandwich(s: DualWeakBrace, chain, ann: SeriesReport, quotients) -> S
         outside = chain[j + 1] - _quotient_pullback(s, chain[j], annihilator, quotients)
         if outside:
             raise NotAnnihilatorSeries(j, (min(outside),))
+        # chain[:j + 2] is an annihilator series prefix, so it lies below Ann's
+        if not chain[j + 1] <= ann.chain[min(j + 1, len(ann.chain) - 1)]:
+            raise InternalInvariantBroken("upper bound of the sandwich fails")
+    return _sandwich(s, chain, ann)
 
+
+def _sandwich(s: DualWeakBrace, chain: tuple[frozenset, ...], ann: SeriesReport) -> SandwichReport:
+    """verify_sandwich's theorem checks on chain, an annihilator series of
+    s, with ann the annihilator series of s.  The sum of two members is a
+    member again, so the memo tests each for an ideal once."""
     gam = gamma_series(s)
     if not (ann.terminated and gam.terminated):
         raise InternalInvariantBroken(
             "a valid annihilator series exists but a canonical series stalls"
         )
-
-    def at(report: SeriesReport, i: int) -> frozenset:
-        return report.chain[min(i, len(report.chain) - 1)]
-
     k = len(chain) - 1
     for j in range(k + 1):
-        if not at(gam, k - j) <= chain[j]:
+        if not gam.chain[min(k - j, len(gam.chain) - 1)] <= chain[j]:
             raise InternalInvariantBroken("lower bound of the sandwich fails")
-        if not chain[j] <= at(ann, j):
-            raise InternalInvariantBroken("upper bound of the sandwich fails")
+    ideal = cache(partial(is_ideal, s))
     step = cache(partial(gamma_step, s))
     for j in range(k):
         if not step(chain[j + 1]) <= chain[j]:

@@ -18,9 +18,8 @@ from .errors import InternalInvariantBroken, ValidationError
 # the largest order whose elements fit in one byte: up to it the row
 # kernels (see _codec; _hom_test is one) and the hom search
 # (_iter_group_homs) run on bytes, above it on tuples and lists.  Read at
-# call time, like HOM_BLOCK.
+# call time.
 BYTES_BOUND = 256
-HOM_BLOCK = 1 << 16  # the most entries _hom_test compares at once: every order up to 256
 
 
 def _pad(row: bytes) -> bytes:
@@ -268,20 +267,18 @@ def _first_non_hom(f, pairs) -> tuple[int, int, int] | None:
 def _hom_test(src, dst):
     """holds(f): whether f[src[x][y]] == dst[f[x]][f[y]] for every (x, y).
 
-    Both tables are encoded once by _codec(max(n, m)).  A src of at most
-    HOM_BLOCK entries is one compare: its joined rows translated by f
+    _codec(max(n, m)) picks the compare.  On bytes both tables are encoded
+    once and a map is one compare: the joined rows of src translated by f
     against f translated by row f[x] of dst for each x (by each of the m
-    rows of dst when m < n), min(n, m) + 1 translates.  A larger src is
-    compared row by row, row x by f against f by row f[x] of dst, so a
-    map stops at its first failing row and nothing is joined.
+    rows of dst when m < n), min(n, m) + 1 translates.  On tuples a map is
+    compared row by row on the tables as given, row x by f against f by
+    row f[x] of dst, so it stops at its first failing row.
     """
     n, m = len(src), len(dst)
     enc, tr, cat, pad = _codec(max(n, m))
+    if enc is tuple:
+        return lambda f: all(map(eq, map(tr, src, repeat(f)), map(tr, repeat(f), map(dst.__getitem__, f))))
     pads = [pad(enc(row)) for row in dst]
-    if n * n > HOM_BLOCK:
-        rows = list(map(enc, src))
-        return lambda f: all(map(eq, map(tr, rows, repeat(pad(enc(f)))),
-                                 map(tr, repeat(enc(f)), map(pads.__getitem__, f))))
     flat, few = cat(map(enc, src)), m < n
 
     def holds(f) -> bool:

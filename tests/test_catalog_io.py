@@ -149,6 +149,15 @@ def test_solution_obj_checks():
         )
 
 
+def test_solution_file_with_a_short_row_exits_2(tmp_path, capsys):
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps({"kind": "solution", "order": 2, "map": [[[0, 0], [1, 1]], [[0, 0]]]}),
+                    encoding="utf-8")
+    assert main(["braid", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: solution table is not square\n")
+
+
 def test_solution_obj_rejects_bools(tmp_path, capsys):
     # JSON true loads as True, which equals and hashes as 1: only a type test keeps it out
     for obj in (

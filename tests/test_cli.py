@@ -331,6 +331,13 @@ def test_quotient_rejects_non_ideal(capsys):
     assert code == 2 and "out of range" in err
 
 
+def test_quotient_needs_well_formed_members(capsys):
+    for extra, message in (([], "this command needs --members a,b,c"),
+                           (["--members", "0,x"], "bad --members value '0,x'")):
+        code, out, err = run(capsys, "quotient", "--catalog", "z6_exotic", *extra)
+        assert (code, out, err) == (2, [], f"error: {message}\n"), extra
+
+
 def test_homs_listing(capsys):
     code, out, _ = run(
         capsys, "homs", "--catalog", "c3_trivial", "--catalog2", "sym3_trivial"

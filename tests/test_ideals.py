@@ -76,6 +76,20 @@ def test_member_range_guard(z6):
         wbk.is_ideal(z6, [True, 0, 2, 4])
 
 
+def test_member_range_guard_on_mixed_types(z6):
+    # members that do not compare are listed by repr, ints as before
+    with pytest.raises(ValueError, match=r"^subset members out of range: \['a', 1\.5\]$"):
+        wbk.is_ideal(z6, {"a", 1.5})
+    with pytest.raises(ValueError, match=r"^subset members out of range: \[-1, 6, 10\]$"):
+        wbk.is_ideal(z6, [10, 0, -1, 6])
+    for check in (wbk.ideal_closure, wbk.generated_full_inverse_subsemigroup, wbk.is_sub_dual_weak_brace):
+        with pytest.raises(ValueError, match="out of range"):
+            check(z6, [None, 0, "x"])
+    for check in (wbk.product_set, wbk.commutator_set):
+        with pytest.raises(ValueError, match="out of range"):
+            check(z6, {0}, [None, "x"])
+
+
 def test_ideal_closure_is_minimal(z6, c3_sym3):
     for s in (z6, c3_sym3):
         for x in wbk.enumerate_ideals(s).ideals:
@@ -165,6 +179,15 @@ def test_sub_structure_needs_zero_parts(c3_sym3):
     assert chk
     strict = wbk.is_sub_dual_weak_brace(c3_sym3, set(range(3, 9)), strict=True)
     assert not strict and strict.law == "missing_idempotent"
+
+
+def test_sub_structure_rejects_a_missing_zero_part(c3_sym3):
+    # 1 lies in the top C3 component, whose zero part 0 the subset misses
+    chk = wbk.is_sub_dual_weak_brace(c3_sym3, {1})
+    assert not chk and chk.law == "missing_zero_part" and chk.witness == (1,)
+    with pytest.raises(wbk.ValidationError) as exc:
+        wbk.sub_structure(c3_sym3, {1})
+    assert exc.value.law == "missing_zero_part" and exc.value.witness == (1,)
 
 
 def test_enumerate_ideals_modes_agree(all_structures, monkeypatch):

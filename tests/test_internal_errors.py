@@ -336,8 +336,9 @@ def _sandwich_upper(mp):
 
 
 # sites no command reaches: opposite, image and ideal_decomposition are
-# library calls, and the sandwich command checks the annihilator series
-# against itself, so its upper bound holds there by construction
+# library calls, and the upper bound of the sandwich is checked on a
+# caller's chain only: the sandwich command checks the theorem alone, on
+# the annihilator series it builds
 LIBRARY_CASES = [
     ("braces", _opposite, "opposite failed validation: compatibility witness=(0, 0, 0)"),
     ("ideals", _image, "hom image is not a sub-brace: not_closed (0, 0)"),

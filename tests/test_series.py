@@ -106,6 +106,19 @@ def test_verify_sandwich_rejects_bad_chains(z6, c2_c4):
     assert exc.value.position == 0
 
 
+def test_verify_sandwich_rejects_non_ideal_and_descending_members():
+    # on the trivial brace on Klein4 every subgroup is an ideal, {0, 1, 2}
+    # is not a subgroup, and {0, 1} does not lie in {0, 2}
+    s = wbk.catalog_get("klein4_trivial").as_dual()
+    e, full = frozenset({0}), frozenset(range(4))
+    with pytest.raises(NotAnnihilatorSeries) as exc:
+        wbk.verify_sandwich(s, [e, frozenset({0, 1, 2}), full])
+    assert exc.value.position == 1 and exc.value.witness == ("not_closed", (1, 2))
+    with pytest.raises(NotAnnihilatorSeries) as exc:
+        wbk.verify_sandwich(s, [e, frozenset({0, 1}), frozenset({0, 2}), full])
+    assert exc.value.position == 2 and exc.value.witness == ("not_ascending",)
+
+
 def test_verify_sandwich_z6_refines(z6):
     # the even ideal is annihilating step by step? no: Ann(z6) = {0}, so even
     # the first step fails; there is no annihilator series at all

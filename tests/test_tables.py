@@ -171,6 +171,19 @@ def test_validate_clifford_rejects_noncommuting_pseudoinverse():
         validate_clifford([[0, 0], [1, 1]])
 
 
+def test_validate_clifford_rejects_the_brandt_semigroup():
+    # B2 = {0, e12, e21, e11, e22} with e_ij e_kl = e_il when j = k, else 0:
+    # an inverse semigroup, but e12 e21 = e11 while e21 e12 = e22
+    elems = [None, (1, 2), (2, 1), (1, 1), (2, 2)]
+
+    def times(a, b):
+        return elems.index((a[0], b[1])) if a and b and a[1] == b[0] else 0
+
+    with pytest.raises(ValidationError) as exc:
+        validate_clifford([[times(a, b) for b in elems] for a in elems])
+    assert exc.value.law == "not_clifford" and exc.value.witness == (1,)
+
+
 def test_generating_set():
     sym3 = catalog_get("sym3")
     gens = generating_set(sym3)
@@ -375,9 +388,21 @@ def _moved_projections(rng):
     return cases
 
 
-# the hom kernel (_hom_test) on bytes and on tuples, each as one compare of
-# the joined rows and row by row (HOM_BLOCK at 0)
-_KERNEL_SETTINGS = list(product((tables.BYTES_BOUND, 0), (tables.HOM_BLOCK, 0)))
+# the hom kernel (_hom_test) on bytes, one compare of the joined rows, and
+# on tuples, row by row
+_KERNEL_SETTINGS = [tables.BYTES_BOUND, 0]
+
+
+def _wide_cases():
+    """Trivial Z8 and Z64 into Z300 and Z640 and back, by x -> kx: one side
+    of each pair is bytes-sized and the other is not, so the default bound
+    runs them on tuples.  Each map is a hom, and again with one entry moved."""
+    cases = []
+    for n, m, k in ((8, 300, 75), (64, 640, 10), (300, 8, 2), (640, 64, 3)):
+        hom = tuple(k * x % m for x in range(n))
+        moved = hom[:n // 2] + ((hom[n // 2] + 1) % m,) + hom[n // 2 + 1:]
+        cases.append((_cyclic(n), _cyclic(m), [hom, moved]))
+    return cases
 
 
 def test_first_non_hom_matches_lexicographic_scan(monkeypatch):
@@ -396,9 +421,9 @@ def test_first_non_hom_matches_lexicographic_scan(monkeypatch):
             ):
                 cases += [(f, pairs) for f in maps]
     cases += _moved_projections(rng)
-    for bound, block in _KERNEL_SETTINGS:
+    cases += [(f, ((src, dst),)) for src, dst, maps in _wide_cases() for f in maps]
+    for bound in _KERNEL_SETTINGS:
         monkeypatch.setattr(tables, "BYTES_BOUND", bound)
-        monkeypatch.setattr(tables, "HOM_BLOCK", block)
         later_wins = both_fail = shrinking = 0
         for f, pairs in cases:
             want = _brute_first_non_hom(f, pairs)
@@ -634,9 +659,9 @@ def test_hom_test_matches_first_non_hom_on_random_maps(monkeypatch):
         cases.append((src, dst, [tuple(rng.randrange(m) for _ in range(n)) for _ in range(10)]))
     # quotient projections onto smaller tables, and the same with one entry moved
     cases += [(src, dst, [f]) for f, pairs in _moved_projections(rng) for src, dst in pairs]
-    for bound, block in _KERNEL_SETTINGS:
+    cases += _wide_cases()
+    for bound in _KERNEL_SETTINGS:
         monkeypatch.setattr(tables, "BYTES_BOUND", bound)
-        monkeypatch.setattr(tables, "HOM_BLOCK", block)
         for src, dst, maps in cases:
             _assert_hom_test_agrees(src, dst, maps)
 
@@ -656,9 +681,8 @@ def test_hom_test_catches_a_failure_at_the_last_pair(monkeypatch):
             bent = [list(row) for row in dst]
             bent[f[-1]][f[-1]] = (dst[f[-1]][f[-1]] + 1) % m
             cases.append((f, src, dst, bent))
-    for bound, block in _KERNEL_SETTINGS:
+    for bound in _KERNEL_SETTINGS:
         monkeypatch.setattr(tables, "BYTES_BOUND", bound)
-        monkeypatch.setattr(tables, "HOM_BLOCK", block)
         for f, src, dst, bent in cases:
             n = len(f)
             assert _hom_test(src, dst)(f) and _first_non_hom(f, ((src, dst),)) is None
@@ -687,9 +711,8 @@ def test_the_hom_kernel_decides_at_both_bounds(monkeypatch):
     # x -> x + 1 on Z6 fails first at (0, 0); with the kernel patched to
     # accept it, _first_non_hom passes it: no scan ran
     z, shift = _cyclic(6), (1, 2, 3, 4, 5, 0)
-    for bound, block in _KERNEL_SETTINGS:
+    for bound in _KERNEL_SETTINGS:
         monkeypatch.setattr(tables, "BYTES_BOUND", bound)
-        monkeypatch.setattr(tables, "HOM_BLOCK", block)
         assert _first_non_hom(shift, ((z, z),)) == (0, 0, 0)
         with monkeypatch.context() as mp:
             mp.setattr(tables, "_hom_test", lambda src, dst: lambda f: True)
