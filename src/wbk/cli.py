@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -64,9 +65,14 @@ def _json(obj, pad: str = "\n") -> str:
             body = json.dumps(obj, separators=(sep, ": "))[1:-1]
         elif (types <= {list, tuple} and len(set(map(len, obj))) == 1
               and set(map(type, chain.from_iterable(obj))) == {int}):
+            # one join makes the whole list: every row carries its leading
+            # separator, the first one's swapped for the opening bracket
             deeper = inner + "  "
-            row = "[" + deeper + ("," + deeper).join(["%d"] * len(obj[0])) + inner + "]"
-            body = sep.join(map(row.__mod__, map(tuple, obj)))
+            row = sep + "[" + deeper + ("," + deeper).join(["%d"] * len(obj[0])) + inner + "]"
+            pieces = list(map(row.__mod__, map(tuple, obj)))
+            pieces[0] = "[" + inner + pieces[0][len(sep):]
+            pieces.append(pad + "]")
+            return "".join(pieces)
         else:
             body = sep.join([_json(v, inner) for v in obj])
         return "[" + inner + body + pad + "]"
@@ -76,20 +82,34 @@ def _json(obj, pad: str = "\n") -> str:
     return json.dumps(obj)
 
 
-def _emit(report: Report, fmt: str) -> int:
+def _emit(report: Report, fmt: str) -> None:
+    """Write the report to stdout.  The JSON form is _json of the report's
+    fields, written field by field: the witnesses' text, often most of the
+    report, is its own piece and is never copied into a larger string.  The
+    last print flushes, so a reader that has gone is seen here, not at exit."""
     if fmt == "json":
-        obj = {
-            "command": report.command,
-            "status": report.status,
-            "lines": report.lines,
-            "witnesses": report.witnesses,
-        }
-        print(_json(obj))
+        inner = "\n  "
+        fields = (("command", report.command), ("status", report.status), ("lines", report.lines))
+        head = "{" + "".join(f'{inner}"{k}": {_json(v, inner)},' for k, v in fields) + inner + '"witnesses": '
+        print(head, _json(report.witnesses, inner), "\n}", sep="", flush=True)
     else:
         for line in report.lines:
             print(line)
-        print(f"status: {report.status}")
-    return 0 if report.status in ("pass", "info") else 1
+        print(f"status: {report.status}", flush=True)
+
+
+def _stdout_to_devnull() -> None:
+    """Point file descriptor 1 at os.devnull, so that the flush at exit
+    cannot raise again once the reader has closed the pipe (the recipe of
+    the note on SIGPIPE in the signal module's docs).  A stdout with no
+    descriptor, such as an in-memory stream, is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _load_one(args, attr_input="input", attr_catalog="catalog"):
@@ -274,7 +294,7 @@ def _cmd_homs(args) -> Report:
         raise UsageError("homs needs two skew_brace inputs")
     maps = enumerate_skew_brace_homs(a, b)
     lines = [f"count: {len(maps)}"] + _limit(maps, args, lambda f: str(list(f)))
-    return Report("homs", "pass", lines, [list(f) for f in maps])
+    return Report("homs", "pass", lines, maps)
 
 
 def _cmd_iso(args) -> Report:
@@ -397,6 +417,10 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _failure(args, line: str) -> Report:
+    return Report(args.command, "fail", [line], [])
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -410,15 +434,19 @@ def main(argv=None) -> int:
         print(f"internal error: {err}", file=sys.stderr)
         return 3
     except NoPeriod as err:
-        failure = f"NO-PERIOD tail={err.tail} cycle={err.cycle}"
+        report = _failure(args, f"NO-PERIOD tail={err.tail} cycle={err.cycle}")
     except NotAnIdeal as err:
-        failure = f"not an ideal: {err.law} witness={err.witness}"
+        report = _failure(args, f"not an ideal: {err.law} witness={err.witness}")
     except ValidationError as err:
         side = f" side={err.side}" if err.side else ""
-        failure = f"violation: {err.law}{side} witness={err.witness}"
-    else:
-        return _emit(report, args.format)
-    return _emit(Report(args.command, "fail", [failure], []), args.format)
+        report = _failure(args, f"violation: {err.law}{side} witness={err.witness}")
+    # the verdict is decided before the first byte is written, and a reader
+    # that closes stdout early does not change it
+    try:
+        _emit(report, args.format)
+    except BrokenPipeError:
+        _stdout_to_devnull()
+    return 0 if report.status in ("pass", "info") else 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from .ideals import (
     _require_ideal,
     _sum_of_ideals,
     annihilator,
-    commutator_set,
     generated_full_inverse_subsemigroup,
     is_ideal,
     product_set,
@@ -111,10 +110,12 @@ def annihilator_series(s: DualWeakBrace) -> SeriesReport:
 
 
 def gamma_step(s: DualWeakBrace, prev: frozenset) -> frozenset:
-    full = frozenset(range(s.order))
-    gens = set(product_set(s, prev, full))
-    gens |= product_set(s, full, prev)
-    gens |= commutator_set(s, prev, full)
+    """prev.S + S.prev + [prev, S]+, closed once: the closure of a union of
+    closures is the closure of the union of their generators, so the dots
+    both ways and the commutators are gathered raw and closed together."""
+    dot, comm = s._dot, s._add_commutator
+    gens = set().union(*(dot[a] for a in prev), *(comm[a] for a in prev))
+    gens.update(row[a] for row in dot for a in prev)
     return generated_full_inverse_subsemigroup(s, gens)
 
 

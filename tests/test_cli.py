@@ -1,8 +1,11 @@
 """Command line surface: output lines, exit codes, JSON mode."""
 
 import argparse
+import contextlib
 import enum
+import errno
 import functools
+import io
 import json
 import os
 import random
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import pytest
 from conftest import exotic, exotic_chain_spec, relabelled_table
+from test_cli_golden import _argvs, _catalog_sources
 
 from wbk import catalog_get, catalog_list, cli, compose, enumerate_ideals, ideals, load, solution_of, to_obj
 from wbk.cli import COMMANDS, main
@@ -167,12 +171,16 @@ def test_option_inventory_is_pinned():
     assert list(got) == list(COMMANDS) and sum(map(len, got.values())) == 65
 
 
+def _cold_env():
+    """The environment of a fresh interpreter on the source tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _cold(*argv):
     """Run the entry point in a fresh interpreter on the source tree."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *argv], capture_output=True, text=True, env=_cold_env(), timeout=60
     )
 
 
@@ -464,8 +472,9 @@ class Level(enum.IntEnum):
 
 
 def test_json_writer_formats_int_rows_as_json_dumps():
-    # the one-template path for rows of plain ints, and every near miss
-    # that must take the old path: ragged or empty rows, bools, IntEnum
+    # the one-template path for rows of plain ints (list or tuple rows, one
+    # row, one entry per row), and every near miss that must take the old
+    # path: ragged or empty rows, bools, IntEnum
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     ints = st.integers() | st.sampled_from([0, -1, 255, 2**70, -(10**30)])
@@ -492,6 +501,11 @@ def test_json_writer_formats_int_rows_as_json_dumps():
     @hypothesis.example([[0, True], [1, 0]])
     @hypothesis.example([[0, Level.HIGH], [1, 0]])
     @hypothesis.example({"witnesses": [[1, 2], [3, 4]], "lines": [[5], [6]]})
+    @hypothesis.example([(0, 1, 2), (0, 2, 1)])
+    @hypothesis.example(((0, 1), (1, 0)))
+    @hypothesis.example([[0, 1, 2]])
+    @hypothesis.example([(5,)])
+    @hypothesis.example([[1], [2], [3]])
     @hypothesis.example([[[0, 1], [1, 0]], [[1, 0], [0, 1]]])
     def check(obj):
         assert cli._json(obj) == json.dumps(obj, indent=2)
@@ -672,3 +686,87 @@ def test_internal_error_exits_3_without_a_traceback(capsys, monkeypatch):
     assert code == 3 and out == []
     assert err == "internal error: rebuilt components or homs fail validation: not_a_hom witness=((0, 1), (0, 0))\n"
     assert "Traceback" not in err
+
+
+class _Pieces:
+    """A stdout that keeps each write as its own piece."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_json_report_writes_the_witnesses_as_one_piece(tmp_path, monkeypatch):
+    # the witnesses' text goes out on its own: no piece copies it together
+    # with the rest of the report
+    table = [[a ^ b for b in range(16)] for a in range(16)]
+    small = [[a ^ b for b in range(8)] for a in range(8)]
+    a = write_json(tmp_path, {"kind": "skew_brace", "order": 16, "add": table, "mul": table}, "a.json")
+    b = write_json(tmp_path, {"kind": "skew_brace", "order": 8, "add": small, "mul": small}, "b.json")
+    out = _Pieces()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["homs", "--input", a, "--input2", b, "--format", "json"]) == 0
+    text = "".join(out.pieces)
+    report = json.loads(text)
+    assert len(report["witnesses"]) == 8**4 and report["lines"][0] == "count: 4096"
+    assert text == json.dumps(report, indent=2) + "\n"
+    witnesses = cli._json(report["witnesses"], "\n  ")
+    assert [p for p in out.pieces if witnesses in p] == [witnesses]
+
+
+class _ClosedAfter(io.StringIO):
+    """A stdout whose reader closes the pipe after k characters."""
+
+    def __init__(self, k):
+        super().__init__()
+        self.left = k
+
+    def write(self, text):
+        if len(text) > self.left:
+            super().write(text[: self.left])
+            self.left = 0
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        self.left -= len(text)
+        return super().write(text)
+
+
+def test_closed_stdout_keeps_the_verdicts_exit_code():
+    # every command of the golden set, both formats: a reader that goes
+    # away before the first character or mid-report changes neither the
+    # exit code nor stderr (empty but for usage errors, which print nothing
+    # to stdout)
+    argvs = [["catalog"]] + [a for c in COMMANDS if c != "catalog" for a in _argvs(c, _catalog_sources())]
+    codes = Counter()
+    for argv in argvs:
+        for fmt in ("text", "json"):
+            full, want = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(full), contextlib.redirect_stderr(want):
+                code = main(argv + ["--format", fmt])
+            assert (want.getvalue() == "") == (code != 2), argv
+            for k in (0, len(full.getvalue()) // 2):
+                out, err = _ClosedAfter(k), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    assert main(argv + ["--format", fmt]) == code, (argv, fmt, k)
+                assert err.getvalue() == want.getvalue() and full.getvalue().startswith(out.getvalue())
+            codes[code] += 1
+    assert set(codes) == {0, 1, 2}, codes
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cold_process_closed_after_the_first_line(tmp_path, fmt):
+    # solve on exotic Z128 prints far more than a pipe buffer holds, so the
+    # process is still writing when the reader closes the pipe
+    path = write_json(tmp_path, to_obj(exotic(128)))
+    argv = [sys.executable, "-m", "wbk.cli", "solve", "--input", path, "--format", fmt]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cold_env()) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert first == (b"order: 128\n" if fmt == "text" else b"{\n") and err == b""

@@ -3,12 +3,13 @@
 from collections import Counter
 
 import pytest
-from conftest import exotic
+from conftest import exotic, exotic_chain
 
 import wbk
 from wbk import InternalInvariantBroken, NotAnIdeal, series
 from wbk.cli import main
 from wbk.errors import NotAnnihilatorSeries
+from wbk.ideals import commutator_set, enumerate_ideals, generated_full_inverse_subsemigroup, product_set
 from wbk.series import _quotient_pullback, _quotients, gamma_step
 
 ELEMENTARY_8 = [[a ^ b for b in range(8)] for a in range(8)]
@@ -134,6 +135,44 @@ def test_gamma_step_monotone(z6, c3_sym3):
         g1 = gamma_step(s, full)
         g2 = gamma_step(s, g1)
         assert g2 <= g1 <= full
+
+
+def _gamma_step_four_closures(s, prev):
+    """The Γ step as first written: prev.S, S.prev and [prev, S]+ each
+    closed, then their union closed."""
+    full = frozenset(range(s.order))
+    gens = set(product_set(s, prev, full)) | product_set(s, full, prev) | commutator_set(s, prev, full)
+    return generated_full_inverse_subsemigroup(s, gens)
+
+
+def _lattice_chains():
+    """Exotic chains of 2 or 3 even orders, each a proper divisor of the
+    one above, at most 24 elements in all."""
+    out, todo = [], [(top,) for top in range(4, 25, 2)]
+    while todo:
+        orders = todo.pop()
+        if len(orders) > 1:
+            out.append(orders)
+        if len(orders) < 3:
+            todo += [orders + (d,) for d in range(2, orders[-1], 2)
+                     if orders[-1] % d == 0 and sum(orders) + d <= 24]
+    return out
+
+
+def test_gamma_step_is_the_four_closure_formula(all_structures):
+    # one closure of the raw generators equals closing each part and then
+    # their union, from every ideal and subset along the gamma series
+    structures = [s for _, s in all_structures]
+    structures += [exotic(n).as_dual() for n in range(2, 25, 2)]
+    structures += [exotic_chain(o) for o in _lattice_chains()]
+    steps = 0
+    for s in structures:
+        starts = set(enumerate_ideals(s).ideals) | set(wbk.gamma_series(s).chain)
+        starts.add(frozenset(s.idempotents))
+        for prev in starts:
+            assert gamma_step(s, prev) == _gamma_step_four_closures(s, prev)
+            steps += 1
+    assert len(structures) > 40 and steps > 250
 
 
 def test_classify_z6(z6):
